@@ -112,6 +112,28 @@ class _PiecewiseBase:
     def _values_at(self, t: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return self.coef[idx] * np.power(float(self.base), t) + self.offset[idx]
 
+    def value(self, t, side: str = "right"):
+        """Evaluate at ``t`` (right value) or take the left limit (``side='left'``).
+
+        Right evaluation requires ``t`` in [0, 1).  Left evaluation accepts
+        [0, 1]: the left limit at 0 wraps around the circle to 0, since
+        every CDF starts from ``F(0-) = 0`` by convention, and ``t = 1``
+        gives the left limit at the end (the total mass of a CDF).  Accepts
+        scalars or arrays.
+        """
+        t_arr, scalar = _as_probe_array(t)
+        if side == "right":
+            _check_domain(t_arr, upper_open=True)
+            idx = np.searchsorted(self.bounds, t_arr, side="right") - 1
+            out = self._values_at(t_arr, idx)
+        elif side == "left":
+            _check_domain(t_arr, upper_open=False)
+            idx = np.clip(np.searchsorted(self.bounds, t_arr, side="left") - 1, 0, None)
+            out = np.where(t_arr == 0.0, 0.0, self._values_at(t_arr, idx))
+        else:
+            raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+        return float(out[0]) if scalar else out
+
     def _piece_start_values(self) -> np.ndarray:
         return self.coef * np.power(float(self.base), self.bounds[:-1]) + self.offset
 
@@ -163,7 +185,7 @@ class PiecewiseCdf(_PiecewiseBase):
         object.__setattr__(self, "offset", offset)
 
     def __call__(self, t, side: str = "right"):
-        return eval_cdf(self, t, side)
+        return self.value(t, side)
 
 
 @dataclass(frozen=True)
@@ -187,25 +209,6 @@ class DeltaProfile(_PiecewiseBase):
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "offset", offset)
-
-    def value(self, t, side: str = "right"):
-        """Evaluate the difference; ``side='left'`` takes circular left limits.
-
-        The left limit at 0 wraps around the circle: both CDFs tend to 0
-        there by convention, so the profile's left value at 0 is 0.
-        """
-        t_arr, scalar = _as_probe_array(t)
-        if side == "right":
-            _check_domain(t_arr, upper_open=True)
-            idx = np.searchsorted(self.bounds, t_arr, side="right") - 1
-            out = self._values_at(t_arr, idx)
-        elif side == "left":
-            _check_domain(t_arr, upper_open=False)
-            idx = np.clip(np.searchsorted(self.bounds, t_arr, side="left") - 1, 0, None)
-            out = np.where(t_arr == 0.0, 0.0, self._values_at(t_arr, idx))
-        else:
-            raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-        return float(out[0]) if scalar else out
 
 
 def _as_probe_array(t):
@@ -310,24 +313,8 @@ def cdf_wrapped_exponential(base: int, y: float) -> PiecewiseCdf:
 
 
 def eval_cdf(F: PiecewiseCdf, t, side: str = "right"):
-    """Evaluate ``F(t)`` (right) or the left limit ``F(t-)``.
-
-    Right evaluation requires ``t`` in [0, 1).  Left evaluation accepts
-    [0, 1]: ``F(0-) = 0`` by convention and ``t = 1`` gives the total mass.
-    Accepts scalars or arrays.
-    """
-    t_arr, scalar = _as_probe_array(t)
-    if side == "right":
-        _check_domain(t_arr, upper_open=True)
-        idx = np.searchsorted(F.bounds, t_arr, side="right") - 1
-        out = F._values_at(t_arr, idx)
-    elif side == "left":
-        _check_domain(t_arr, upper_open=False)
-        idx = np.clip(np.searchsorted(F.bounds, t_arr, side="left") - 1, 0, None)
-        out = np.where(t_arr == 0.0, 0.0, F._values_at(t_arr, idx))
-    else:
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    return float(out[0]) if scalar else out
+    """Evaluate ``F(t)`` (right) or the left limit ``F(t-)``; see ``value``."""
+    return F.value(t, side)
 
 
 def _atoms_of_step_cdf(F: PiecewiseCdf):

@@ -4,20 +4,28 @@ On [0, 1] the distance between two CDFs is the L1 norm of their difference.
 On the circle the cut point is optimized away analytically: with
 ``delta = F - G``, the map ``c -> integral |delta - c|`` is convex with
 subgradient ``measure{delta < c} - measure{delta > c}``, so its minimizers
-are exactly the Lebesgue medians of ``delta``.  Both the integral and the
-sublevel measure are computed in closed form per piece (roots of
-``a * b**t + d = c`` come from a single logarithm), which keeps every
-distance exact up to rounding for piece counts into the millions.
+are exactly the Lebesgue medians of ``delta`` (Cabrelli & Molter 1995;
+Rabin, Delon & Gousseau 2011).  The integral is computed in closed form per
+piece (roots of ``a * b**t + d = c`` come from a single logarithm), which
+keeps every distance exact up to rounding for piece counts into the millions.
+
+The median is found by a bracketed Newton search on the level function
+``L(c) = measure{delta <= c}``.  L is non-decreasing, and every exponential
+piece whose value range straddles c adds ``1 / (|c - d| ln b)`` to its slope,
+so one pass over the pieces gives both ``L(c)`` and ``L'(c)``.  Newton steps
+come within a few rounding steps of 1/2 in two or three passes; the rest of
+the search narrows the bracket to adjacent floats.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DeltaProfile, PiecewiseCdf, delta_profile, eval_cdf
+from .measures import DeltaProfile, PiecewiseCdf, delta_profile
 from .summation import compensated_sum
 
 __all__ = [
@@ -29,8 +37,6 @@ __all__ = [
     "w1_circle",
     "cut_distance",
 ]
-
-_BISECT_STEPS = 120  # monotone bisection to ~1 ulp on binary64
 
 
 @dataclass(frozen=True)
@@ -90,179 +96,164 @@ def integral_abs(profile: DeltaProfile, c: float) -> float:
     return compensated_sum(first) + compensated_sum(second)
 
 
-def _sublevel_widths(profile: DeltaProfile, c: float) -> np.ndarray:
-    """Per-piece Lebesgue measure of {t : delta(t) <= c}."""
-    lo = profile.bounds[:-1]
-    hi = profile.bounds[1:]
-    a = profile.coef
-    d = profile.offset
-    log_b = math.log(profile.base)
-    width = hi - lo
+def _piece_ends(profile: DeltaProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Start values and right-end left limits of the pieces, computed once per row."""
+    return profile._piece_start_values(), profile._piece_end_values()
 
-    out = np.empty_like(lo)
-    const = a == 0.0
-    out[const] = np.where(d[const] <= c, width[const], 0.0)
 
-    e = ~const
-    if np.any(e):
-        ae, de, loe, hie = a[e], d[e], lo[e], hi[e]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (c - de) / ae
-            root = np.where(ratio > 0.0, np.log(np.where(ratio > 0.0, ratio, 1.0)) / log_b, 0.0)
-        root = np.clip(root, loe, hie)
-        inc = ae > 0.0
-        # increasing piece: {<= c} = [lo, root]; decreasing: [root, hi);
-        # ratio <= 0 means no root: nothing for increasing, all for decreasing
-        out[e] = np.where(
-            ratio > 0.0,
-            np.where(inc, root - loe, hie - root),
-            np.where(inc, 0.0, hie - loe),
-        )
-    return out
+class _LevelFunction:
+    """The level function ``L(c) = measure{delta <= c}`` and its slope in one pass.
+
+    A piece whose values all lie at or below ``c`` counts in full and one
+    whose values all lie at or above it counts nothing.  A piece whose value
+    range straddles ``c`` counts up to its root ``log_b((c - d) / a)``, clipped
+    into the piece, and adds ``1 / (|c - d| ln b)`` to the slope ``L'(c)``.
+    The piece-sized buffers are reused by every probe.
+    """
+
+    def __init__(self, profile: DeltaProfile, v_lo: np.ndarray, v_hi: np.ndarray):
+        self.lo = profile.bounds[:-1]
+        self.hi = profile.bounds[1:]
+        self.coef = profile.coef
+        self.offset = profile.offset
+        self.log_b = math.log(profile.base)
+        self.v_min = np.minimum(v_lo, v_hi)
+        self.v_max = np.maximum(v_lo, v_hi)
+        self.width = self.hi - self.lo
+        # measure below c: root - lo on rising pieces, hi - root on falling ones
+        self.edge = np.where(profile.coef > 0.0, self.lo, self.hi)
+        self._diff = np.empty_like(self.lo)
+        self._widths = np.empty_like(self.lo)
+
+    def __call__(self, c: float) -> tuple[float, float]:
+        """``(L(c), L'(c))``."""
+        full = self.v_max <= c
+        straddle = (self.v_min < c) & ~full
+        diff = np.subtract(c, self.offset, out=self._diff)
+        w = self._widths
+        # off the straddling pieces these may be nan or inf; they are masked
+        with np.errstate(all="ignore"):
+            np.divide(diff, self.coef, out=w)
+            np.log(w, out=w)
+            w /= self.log_b
+            np.clip(w, self.lo, self.hi, out=w)
+            np.divide(1.0, np.abs(diff, out=diff), out=diff)
+        w -= self.edge
+        np.abs(w, out=w)
+        np.copyto(w, 0.0, where=~straddle)
+        np.copyto(w, self.width, where=full)
+        slope = float(np.sum(diff, where=straddle)) / self.log_b
+        return min(1.0, max(0.0, compensated_sum(w))), slope
 
 
 def level_measure(profile: DeltaProfile, c: float) -> float:
     """Lebesgue measure of the sublevel set {t in [0,1) : delta(t) <= c}."""
-    return min(1.0, max(0.0, compensated_sum(_sublevel_widths(profile, c))))
+    return _LevelFunction(profile, *_piece_ends(profile))(c)[0]
 
 
-def _atom_mass(profile: DeltaProfile, c: float) -> float:
-    """Measure of {t : delta(t) == c} (constant pieces sitting at level c)."""
-    const = (profile.coef == 0.0) & (profile.offset == c)
-    if not np.any(const):
-        return 0.0
-    return float(np.sum((profile.bounds[1:] - profile.bounds[:-1])[const]))
+def _ordinal(x: float) -> int:
+    """Rank of ``x`` among binary64 values; +0.0 and -0.0 share rank 0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
 
 
-def _solve_level_in_window(profile: DeltaProfile, u: float, v: float,
-                           level_u: float, target: float) -> float:
-    """Solve ``level_measure(profile, c) == target`` for c in (u, v).
+def _midpoint(lo: float, hi: float) -> float:
+    """The float halfway from ``lo`` to ``hi`` by rank, so 64 halvings end any bracket."""
+    k = (_ordinal(lo) + _ordinal(hi)) // 2
+    x = struct.unpack("<d", struct.pack("<q", abs(k)))[0]
+    return x if k >= 0 else -x
 
-    (u, v) contains no piece endpoint values, so the level function is
-    continuous and strictly increasing there; the pieces whose value range
-    spans the window are fixed.  With one active piece the crossing inverts
-    in closed form; with several the equation is a product of shifted
-    exponentials with no closed form, so monotone bisection refines the
-    bracket to the last bit instead.
+
+def _bracketed_newton(level_slope, lo: float, hi: float, c: float,
+                      strict: bool) -> tuple[float, float, float]:
+    """Shrink ``(lo, hi]`` to adjacent floats around where the level crosses 1/2.
+
+    ``level_slope(c)`` returns ``(level, slope)``.  A probe is *above* when
+    its level is ``>= 1/2`` (``> 1/2`` when ``strict``); the invariant is
+    that ``lo`` is not above and ``hi`` is.  ``hi`` must start at or above
+    every value of the profile, where the level is 1.  Returns
+    ``(lo, hi, level at hi)``.
+
+    Each probe is the Newton step from the previous one when it lands inside
+    the bracket, and the midpoint by rank otherwise (always, where the slope
+    is 0).  Every probe lies strictly inside the bracket, so the search
+    ends.  The computed level is a staircase at the scale of rounding, so
+    near 1/2 Newton stalls on one side: each further probe on the same side
+    doubles the step, and a level of exactly 1/2 steps by one ulp, so the
+    other side is found in a few probes instead of by halving from afar.
     """
-    lo, hi, pow_lo, pow_hi = _piece_geometry(profile)
-    a = profile.coef
-    d = profile.offset
-    v_lo = a * pow_lo + d
-    v_hi = a * pow_hi + d
-    v_min = np.minimum(v_lo, v_hi)
-    v_max = np.maximum(v_lo, v_hi)
-    active = (a != 0.0) & (v_min <= u) & (v_max >= v)
-    idx = np.nonzero(active)[0]
-    if idx.size == 0:  # no continuous mass in the window: jump at v
-        return v
-
-    a_act, d_act = a[idx], d[idx]
-    lo_act, hi_act = lo[idx], hi[idx]
-    log_b = math.log(profile.base)
-
-    def active_measure(c):
-        # ratio stays in [b**lo, b**hi] for c in [u, v] on spanning pieces
-        root = np.log((c - d_act) / a_act) / log_b
-        root = np.clip(root, lo_act, hi_act)
-        return float(np.sum(np.where(a_act > 0.0, root - lo_act, hi_act - root)))
-
-    base_level = level_u - active_measure(u)
-    need = target - base_level
-    if idx.size == 1:
-        # invert the single active piece: measure m corresponds to
-        # root = lo + m (increasing) or hi - m (decreasing)
-        a1, d1 = float(a_act[0]), float(d_act[0])
-        t_at = float(lo_act[0]) + need if a1 > 0.0 else float(hi_act[0]) - need
-        c = a1 * profile.base ** t_at + d1
-        return min(max(c, u), v)
-
-    c_lo, c_hi = u, v
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (c_lo + c_hi)
-        if mid <= c_lo or mid >= c_hi:
-            break
-        if base_level + active_measure(mid) >= target:
-            c_hi = mid
+    level_hi = 1.0  # the level at and above every value of the profile
+    stretch = 1.0
+    was_above = None
+    while math.nextafter(lo, hi) < hi:
+        if not lo < c < hi:
+            c = _midpoint(lo, hi)
+        level, slope = level_slope(c)
+        above = level > 0.5 if strict else level >= 0.5
+        if above:
+            hi, level_hi = c, level
         else:
-            c_lo = mid
-    return c_hi
+            lo = c
+        stretch = 2.0 * stretch if above == was_above else 1.0
+        was_above = above
+        if slope > 0.0:
+            step = (0.5 - level) / slope
+            if step == 0.0:  # level exactly 1/2: creep off the plateau
+                step = -math.ulp(c) if above else math.ulp(c)
+            c += stretch * step
+        else:
+            c = math.nan
+    return lo, hi, level_hi
 
 
-def median_offset(profile: DeltaProfile) -> tuple[float, float]:
+def median_offset(profile: DeltaProfile,
+                  ends: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[float, float]:
     """Full interval of minimizers of ``c -> integral |delta - c|``.
 
     Returns ``(c_lo, c_hi)`` with ``c_lo = min{c : measure{delta <= c} >= 1/2}``
-    and ``c_hi = max{c : measure{delta < c} <= 1/2}``; both endpoints are
-    values or left limits of the profile.
+    and ``c_hi = max{c : measure{delta < c} <= 1/2}``, both to the last bit
+    of the computed level function.
+
+    ``c_lo`` comes from a bracketed Newton search on the level function
+    ``L(c)``, started at the mean of ``delta``.  Each probe is one pass over
+    the pieces that returns ``L(c)`` and its slope
+    ``L'(c) = sum 1 / (|c - d_i| ln b)`` over the exponential pieces whose
+    value range straddles ``c``.  If ``L(c_lo) > 1/2`` the interval is the
+    single point ``c_lo``; otherwise the same search on the strict level
+    ``L(c) - measure{delta == c}`` finds ``c_hi``.
+
+    ``ends`` are the pieces' endpoint values ``(start values, left limits at
+    the right ends)`` when the caller already has them.
     """
-    lo, hi, pow_lo, pow_hi = _piece_geometry(profile)
-    v_lo = profile.coef * pow_lo + profile.offset
-    v_hi = profile.coef * pow_hi + profile.offset
-    cands = np.unique(np.concatenate((v_lo, v_hi)))
-    if cands.size == 1:
-        c = float(cands[0])
-        return c, c
+    v_lo, v_hi = _piece_ends(profile) if ends is None else ends
+    level = _LevelFunction(profile, v_lo, v_hi)
+    lowest, highest = float(level.v_min.min()), float(level.v_max.max())
+    if lowest == highest:
+        return lowest, lowest
+    # integral of a*b**t + d over a piece is (v_hi - v_lo) / ln b + d * width
+    mean = float(np.sum(v_hi - v_lo)) / level.log_b + float(np.dot(profile.offset, level.width))
+    _, c_lo, level_c_lo = _bracketed_newton(
+        level, math.nextafter(lowest, -math.inf), highest, mean, strict=False)
+    if level_c_lo > 0.5:
+        return c_lo, c_lo
 
-    levels_cache: dict[int, float] = {}
+    def strict_level(c: float) -> tuple[float, float]:
+        below_or_at, slope = level(c)
+        at_c = (profile.coef == 0.0) & (profile.offset == c)  # constant pieces at c
+        return below_or_at - float(np.sum(level.width[at_c])), slope
 
-    def lv(k: int) -> float:
-        if k not in levels_cache:
-            levels_cache[k] = level_measure(profile, float(cands[k]))
-        return levels_cache[k]
-
-    # c_lo: least candidate index with level >= 1/2, then resolve its window.
-    k_lo, k_hi = 0, cands.size - 1
-    while k_lo < k_hi:
-        mid = (k_lo + k_hi) // 2
-        if lv(mid) >= 0.5:
-            k_hi = mid
-        else:
-            k_lo = mid + 1
-    k = k_lo
-    v = float(cands[k])
-    if k == 0:
-        c_lo = v
-    else:
-        u = float(cands[k - 1])
-        below_v = lv(k) - _atom_mass(profile, v)  # sup of level left of v
-        if below_v > 0.5:
-            c_lo = _solve_level_in_window(profile, u, v, lv(k - 1), 0.5)
-        else:
-            c_lo = v
-
-    # c_hi: greatest candidate with measure{delta < cand} <= 1/2.
-    def strict_below(k: int) -> float:
-        return lv(k) - _atom_mass(profile, float(cands[k]))
-
-    j_lo, j_hi = 0, cands.size - 1
-    while j_lo < j_hi:  # find greatest j with strict_below(j) <= 1/2
-        mid = (j_lo + j_hi + 1) // 2
-        if strict_below(mid) <= 0.5:
-            j_lo = mid
-        else:
-            j_hi = mid - 1
-    j = j_lo
-    if j == cands.size - 1:
-        c_hi = float(cands[j])
-    elif lv(j) > 0.5:
-        # an atom at cands[j] pushes the strict sublevel past 1/2 right after it
-        c_hi = float(cands[j])
-    else:
-        c_hi = _solve_level_in_window(profile, float(cands[j]), float(cands[j + 1]),
-                                      lv(j), 0.5)
-    if c_hi < c_lo:  # rounding can invert a degenerate interval by one ulp
-        c_lo = c_hi = min(c_lo, c_hi)
-    return float(c_lo), float(c_hi)
+    c_hi, _, _ = _bracketed_newton(strict_level, c_lo, math.nextafter(highest, math.inf),
+                                   math.nextafter(c_lo, math.inf), strict=True)
+    return c_lo, c_hi
 
 
-def _find_cut_point(profile: DeltaProfile, c: float) -> float | None:
+def _find_cut_point(profile: DeltaProfile, c: float,
+                    v_lo: np.ndarray, v_hi: np.ndarray) -> float | None:
     """Smallest s where the profile attains c as a value or left limit."""
-    lo, hi, pow_lo, pow_hi = _piece_geometry(profile)
+    lo = profile.bounds[:-1]
+    hi = profile.bounds[1:]
     a = profile.coef
     d = profile.offset
-    v_lo = a * pow_lo + d
-    v_hi = a * pow_hi + d
     tol = 1e-12 * max(1.0, abs(c))
 
     candidates: list[float] = []
@@ -288,13 +279,15 @@ def _find_cut_point(profile: DeltaProfile, c: float) -> float | None:
 
 
 def _circle_from_profile(profile: DeltaProfile) -> TransportResult:
-    c_lo, c_hi = median_offset(profile)
-    dist = integral_abs(profile, c_lo)
+    ends = _piece_ends(profile)
+    c_lo, c_hi = median_offset(profile, ends)
+    cut_point = _find_cut_point(profile, c_lo, *ends)
+    del ends  # not held during integral_abs, whose temporaries set the peak
     return TransportResult(
-        distance=dist,
+        distance=integral_abs(profile, c_lo),
         offset=c_lo,
         offset_interval=(c_lo, c_hi),
-        cut_point=_find_cut_point(profile, c_lo),
+        cut_point=cut_point,
         piece_count=profile.piece_count,
     )
 

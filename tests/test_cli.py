@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from circletransport import harness
 from circletransport.cli import main
 
 
@@ -36,6 +37,21 @@ class TestDist:
         code, _, err = run_cli(capsys, "dist", "--base", "10", "--n", "5")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("exc,message", [
+        (MemoryError("Unable to allocate 8.00 EiB for an array"),
+         "Unable to allocate 8.00 EiB for an array"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_allocation_failure_exits_2(self, capsys, monkeypatch, exc, message):
+        # N = 2**60 passes the int64 guard but its arrays cannot be allocated;
+        # the failure is simulated rather than provoked
+        def out_of_memory(*_args):
+            raise exc
+
+        monkeypatch.setattr(harness, "compute_metrics", out_of_memory)
+        code, out, err = run_cli(capsys, "dist", "--base", "2", "--n", str(2 ** 60))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestSweep:

@@ -11,12 +11,15 @@ from circletransport import (
     build_nu,
     cdf_of_empirical,
     cdf_wrapped_exponential,
+    closed_form_cdf,
+    compute_metrics,
     cut_distance,
     delta_profile,
     grid_minimize_offset,
     integral_abs,
     level_measure,
     median_offset,
+    reference_rotation,
     rotate_cdf,
     w1_circle,
     w1_line,
@@ -116,6 +119,60 @@ class TestMedianOffset:
             lo, hi = np.minimum(v_lo, v_hi), np.maximum(v_lo, v_hi)
             for c in median_offset(prof):
                 assert np.any((lo - 1e-12 <= c) & (c <= hi + 1e-12))
+
+
+def nu_profile(base, N):
+    """The profile of a metrics row: nu_N against its rotated exponential."""
+    G = cdf_wrapped_exponential(base, reference_rotation(base, N))
+    return delta_profile(closed_form_cdf(base, N), G)
+
+
+def strict_level(prof, c):
+    """measure{delta < c}: the level minus the constant pieces sitting at c."""
+    at_c = (prof.coef == 0.0) & (prof.offset == c)
+    return level_measure(prof, c) - float(np.sum(np.diff(prof.bounds)[at_c]))
+
+
+def assert_median_interval(prof):
+    """c_lo is the least float where the level reaches 1/2, c_hi the greatest
+    where the strict level stays at or below it, both to the last bit."""
+    b = float(prof.base)
+    values = np.concatenate((prof.coef * np.power(b, prof.bounds[:-1]) + prof.offset,
+                             prof.coef * np.power(b, prof.bounds[1:]) + prof.offset))
+    c_lo, c_hi = median_offset(prof)
+    assert c_lo <= c_hi
+    assert level_measure(prof, c_lo) >= 0.5
+    if c_lo != values.min():
+        assert level_measure(prof, math.nextafter(c_lo, -math.inf)) < 0.5
+    if level_measure(prof, c_lo) > 0.5:
+        assert c_hi == c_lo
+    else:
+        assert strict_level(prof, c_hi) <= 0.5
+        if c_hi != values.max():
+            assert strict_level(prof, math.nextafter(c_hi, math.inf)) > 0.5
+
+
+class TestMedianSearch:
+    @pytest.mark.parametrize("N", [10 ** 3, 10 ** 4, 10 ** 5])
+    @pytest.mark.parametrize("base", [10, 2])
+    def test_rows_reach_the_last_bit(self, base, N):
+        assert_median_interval(nu_profile(base, N))
+
+    def test_random_pairs(self, rng):
+        for _ in range(50):
+            assert_median_interval(delta_profile(random_cdf(rng), random_cdf(rng)))
+
+    def test_flat_median_stretch(self):
+        assert_median_interval(half_step_profile())
+
+    @pytest.mark.parametrize("base,d_circle,offset_c", [
+        (10, 6.2160293974009677e-06, 3.2184796258688537e-05),
+        (2, 1.6059164154578043e-05, 8.3716439999936845e-05),
+    ])
+    def test_pinned_rows(self, base, d_circle, offset_c):
+        row = compute_metrics(base, 10 ** 5)
+        assert row.d_circle == pytest.approx(d_circle, rel=1e-12, abs=0.0)
+        assert row.offset_c == pytest.approx(offset_c, rel=1e-12, abs=0.0)
 
 
 class TestW1Line:
