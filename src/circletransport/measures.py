@@ -134,12 +134,11 @@ class _PiecewiseBase:
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
         return float(out[0]) if scalar else out
 
-    def _piece_start_values(self) -> np.ndarray:
-        return self.coef * np.power(float(self.base), self.bounds[:-1]) + self.offset
-
-    def _piece_end_values(self) -> np.ndarray:
-        """Left limits at the right ends of the pieces."""
-        return self.coef * np.power(float(self.base), self.bounds[1:]) + self.offset
+    def _piece_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start values and left limits at the right ends of the pieces."""
+        b = float(self.base)
+        return (self.coef * np.power(b, self.bounds[:-1]) + self.offset,
+                self.coef * np.power(b, self.bounds[1:]) + self.offset)
 
 
 def _check_piece_arrays(bounds: np.ndarray, coef: np.ndarray, offset: np.ndarray) -> None:

@@ -127,8 +127,7 @@ def quantile_discretize(F: PiecewiseCdf, m: int) -> AtomList:
     if m < 1:
         raise ValueError(f"need at least one atom, got m={m}")
     qs = (np.arange(m) + 0.5) / m
-    starts = F._piece_start_values()
-    ends = F._piece_end_values()
+    starts, ends = F._piece_values()
     idx = np.searchsorted(ends, qs, side="left")
     idx = np.clip(idx, 0, F.piece_count - 1)
     lo = F.bounds[:-1][idx]

@@ -96,59 +96,65 @@ def integral_abs(profile: DeltaProfile, c: float) -> float:
     return compensated_sum(first) + compensated_sum(second)
 
 
-def _piece_ends(profile: DeltaProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Start values and right-end left limits of the pieces, computed once per row."""
-    return profile._piece_start_values(), profile._piece_end_values()
+class _LevelProfile(DeltaProfile):
+    """A profile with what every level pass reuses, built once per search.
+
+    It adds the pieces' endpoint values, value ranges, widths and measure
+    edges and two piece-sized scratch buffers.  ``level_measure`` and
+    ``median_offset`` take it like any other profile, so each probe of a
+    search is one ``level_measure`` pass.  Each search builds its own, so no
+    two threads share the buffers.
+    """
+
+    def __init__(self, profile: DeltaProfile):
+        super().__init__(profile.base, profile.bounds, profile.coef, profile.offset)
+        # a subclass of a frozen dataclass may set attributes other than its fields
+        self.lo = self.bounds[:-1]
+        self.hi = self.bounds[1:]
+        self.log_b = math.log(self.base)
+        self.v_lo, self.v_hi = profile._piece_values()
+        self.v_min = np.minimum(self.v_lo, self.v_hi)
+        self.v_max = np.maximum(self.v_lo, self.v_hi)
+        self.width = self.hi - self.lo
+        # measure below c: root - lo on rising pieces, hi - root on falling ones
+        self.edge = np.where(self.coef > 0.0, self.lo, self.hi)
+        self.diff = np.empty_like(self.lo)
+        self.widths = np.empty_like(self.lo)
+
+    @classmethod
+    def of(cls, profile: DeltaProfile) -> _LevelProfile:
+        return profile if isinstance(profile, cls) else cls(profile)
 
 
-class _LevelFunction:
-    """The level function ``L(c) = measure{delta <= c}`` and its slope in one pass.
+def level_measure(profile: DeltaProfile, c: float, with_slope: bool = False):
+    """Lebesgue measure ``L(c)`` of the sublevel set {t in [0,1) : delta(t) <= c}.
 
     A piece whose values all lie at or below ``c`` counts in full and one
     whose values all lie at or above it counts nothing.  A piece whose value
     range straddles ``c`` counts up to its root ``log_b((c - d) / a)``, clipped
     into the piece, and adds ``1 / (|c - d| ln b)`` to the slope ``L'(c)``.
-    The piece-sized buffers are reused by every probe.
+    With ``with_slope`` the result is ``(L(c), L'(c))`` from the same pass.
     """
-
-    def __init__(self, profile: DeltaProfile, v_lo: np.ndarray, v_hi: np.ndarray):
-        self.lo = profile.bounds[:-1]
-        self.hi = profile.bounds[1:]
-        self.coef = profile.coef
-        self.offset = profile.offset
-        self.log_b = math.log(profile.base)
-        self.v_min = np.minimum(v_lo, v_hi)
-        self.v_max = np.maximum(v_lo, v_hi)
-        self.width = self.hi - self.lo
-        # measure below c: root - lo on rising pieces, hi - root on falling ones
-        self.edge = np.where(profile.coef > 0.0, self.lo, self.hi)
-        self._diff = np.empty_like(self.lo)
-        self._widths = np.empty_like(self.lo)
-
-    def __call__(self, c: float) -> tuple[float, float]:
-        """``(L(c), L'(c))``."""
-        full = self.v_max <= c
-        straddle = (self.v_min < c) & ~full
-        diff = np.subtract(c, self.offset, out=self._diff)
-        w = self._widths
-        # off the straddling pieces these may be nan or inf; they are masked
-        with np.errstate(all="ignore"):
-            np.divide(diff, self.coef, out=w)
-            np.log(w, out=w)
-            w /= self.log_b
-            np.clip(w, self.lo, self.hi, out=w)
-            np.divide(1.0, np.abs(diff, out=diff), out=diff)
-        w -= self.edge
-        np.abs(w, out=w)
-        np.copyto(w, 0.0, where=~straddle)
-        np.copyto(w, self.width, where=full)
-        slope = float(np.sum(diff, where=straddle)) / self.log_b
-        return min(1.0, max(0.0, compensated_sum(w))), slope
-
-
-def level_measure(profile: DeltaProfile, c: float) -> float:
-    """Lebesgue measure of the sublevel set {t in [0,1) : delta(t) <= c}."""
-    return _LevelFunction(profile, *_piece_ends(profile))(c)[0]
+    p = _LevelProfile.of(profile)
+    full = p.v_max <= c
+    straddle = (p.v_min < c) & ~full
+    diff = np.subtract(c, p.offset, out=p.diff)
+    w = p.widths
+    # off the straddling pieces these may be nan or inf; they are masked
+    with np.errstate(all="ignore"):
+        np.divide(diff, p.coef, out=w)
+        np.log(w, out=w)
+        w /= p.log_b
+        np.clip(w, p.lo, p.hi, out=w)
+        np.divide(1.0, np.abs(diff, out=diff), out=diff)
+    w -= p.edge
+    np.abs(w, out=w)
+    np.copyto(w, 0.0, where=~straddle)
+    np.copyto(w, p.width, where=full)
+    level = min(1.0, max(0.0, compensated_sum(w)))
+    if not with_slope:
+        return level
+    return level, float(np.sum(diff, where=straddle)) / p.log_b
 
 
 def _ordinal(x: float) -> int:
@@ -206,8 +212,7 @@ def _bracketed_newton(level_slope, lo: float, hi: float, c: float,
     return lo, hi, level_hi
 
 
-def median_offset(profile: DeltaProfile,
-                  ends: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[float, float]:
+def median_offset(profile: DeltaProfile) -> tuple[float, float]:
     """Full interval of minimizers of ``c -> integral |delta - c|``.
 
     Returns ``(c_lo, c_hi)`` with ``c_lo = min{c : measure{delta <= c} >= 1/2}``
@@ -215,31 +220,33 @@ def median_offset(profile: DeltaProfile,
     of the computed level function.
 
     ``c_lo`` comes from a bracketed Newton search on the level function
-    ``L(c)``, started at the mean of ``delta``.  Each probe is one pass over
-    the pieces that returns ``L(c)`` and its slope
+    ``L(c)``, started at the mean of ``delta``.  Each probe is one
+    ``level_measure`` pass that returns ``L(c)`` and its slope
     ``L'(c) = sum 1 / (|c - d_i| ln b)`` over the exponential pieces whose
     value range straddles ``c``.  If ``L(c_lo) > 1/2`` the interval is the
     single point ``c_lo``; otherwise the same search on the strict level
     ``L(c) - measure{delta == c}`` finds ``c_hi``.
-
-    ``ends`` are the pieces' endpoint values ``(start values, left limits at
-    the right ends)`` when the caller already has them.
     """
-    v_lo, v_hi = _piece_ends(profile) if ends is None else ends
-    level = _LevelFunction(profile, v_lo, v_hi)
+    level = _LevelProfile.of(profile)
     lowest, highest = float(level.v_min.min()), float(level.v_max.max())
     if lowest == highest:
         return lowest, lowest
     # integral of a*b**t + d over a piece is (v_hi - v_lo) / ln b + d * width
-    mean = float(np.sum(v_hi - v_lo)) / level.log_b + float(np.dot(profile.offset, level.width))
+    mean = (float(np.sum(level.v_hi - level.v_lo)) / level.log_b
+            + float(np.dot(level.offset, level.width)))
+
+    def level_slope(c: float) -> tuple[float, float]:
+        # one level_measure call per probe; the benchmark counts these as level passes
+        return level_measure(level, c, True)
+
     _, c_lo, level_c_lo = _bracketed_newton(
-        level, math.nextafter(lowest, -math.inf), highest, mean, strict=False)
+        level_slope, math.nextafter(lowest, -math.inf), highest, mean, strict=False)
     if level_c_lo > 0.5:
         return c_lo, c_lo
 
     def strict_level(c: float) -> tuple[float, float]:
-        below_or_at, slope = level(c)
-        at_c = (profile.coef == 0.0) & (profile.offset == c)  # constant pieces at c
+        below_or_at, slope = level_slope(c)
+        at_c = (level.coef == 0.0) & (level.offset == c)  # constant pieces at c
         return below_or_at - float(np.sum(level.width[at_c])), slope
 
     c_hi, _, _ = _bracketed_newton(strict_level, c_lo, math.nextafter(highest, math.inf),
@@ -247,13 +254,10 @@ def median_offset(profile: DeltaProfile,
     return c_lo, c_hi
 
 
-def _find_cut_point(profile: DeltaProfile, c: float,
-                    v_lo: np.ndarray, v_hi: np.ndarray) -> float | None:
+def _find_cut_point(profile: _LevelProfile, c: float) -> float | None:
     """Smallest s where the profile attains c as a value or left limit."""
-    lo = profile.bounds[:-1]
-    hi = profile.bounds[1:]
-    a = profile.coef
-    d = profile.offset
+    lo, hi, a, d = profile.lo, profile.hi, profile.coef, profile.offset
+    v_lo, v_hi = profile.v_lo, profile.v_hi
     tol = 1e-12 * max(1.0, abs(c))
 
     candidates: list[float] = []
@@ -265,7 +269,7 @@ def _find_cut_point(profile: DeltaProfile, c: float,
         # left limit at the right end of the piece; s = hi (wraps to 0 at 1)
         s = float(hi[end_hits[0]])
         candidates.append(0.0 if s >= 1.0 else s)
-    crossing = (np.minimum(v_lo, v_hi) - tol <= c) & (c <= np.maximum(v_lo, v_hi) + tol) & (a != 0.0)
+    crossing = (profile.v_min - tol <= c) & (c <= profile.v_max + tol) & (a != 0.0)
     cross_idx = np.nonzero(crossing)[0]
     if cross_idx.size:
         i = cross_idx[0]
@@ -279,10 +283,10 @@ def _find_cut_point(profile: DeltaProfile, c: float,
 
 
 def _circle_from_profile(profile: DeltaProfile) -> TransportResult:
-    ends = _piece_ends(profile)
-    c_lo, c_hi = median_offset(profile, ends)
-    cut_point = _find_cut_point(profile, c_lo, *ends)
-    del ends  # not held during integral_abs, whose temporaries set the peak
+    level = _LevelProfile(profile)
+    c_lo, c_hi = median_offset(level)
+    cut_point = _find_cut_point(level, c_lo)
+    del level  # not held during integral_abs, whose temporaries set the peak
     return TransportResult(
         distance=integral_abs(profile, c_lo),
         offset=c_lo,

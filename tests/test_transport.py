@@ -133,12 +133,17 @@ def strict_level(prof, c):
     return level_measure(prof, c) - float(np.sum(np.diff(prof.bounds)[at_c]))
 
 
+def piece_values(prof):
+    """The start values and right-end left limits of all pieces, in one array."""
+    b = float(prof.base)
+    return np.concatenate((prof.coef * np.power(b, prof.bounds[:-1]) + prof.offset,
+                           prof.coef * np.power(b, prof.bounds[1:]) + prof.offset))
+
+
 def assert_median_interval(prof):
     """c_lo is the least float where the level reaches 1/2, c_hi the greatest
     where the strict level stays at or below it, both to the last bit."""
-    b = float(prof.base)
-    values = np.concatenate((prof.coef * np.power(b, prof.bounds[:-1]) + prof.offset,
-                             prof.coef * np.power(b, prof.bounds[1:]) + prof.offset))
+    values = piece_values(prof)
     c_lo, c_hi = median_offset(prof)
     assert c_lo <= c_hi
     assert level_measure(prof, c_lo) >= 0.5
@@ -164,6 +169,18 @@ class TestMedianSearch:
 
     def test_flat_median_stretch(self):
         assert_median_interval(half_step_profile())
+
+    def test_slope_is_the_derivative_of_the_level(self, rng):
+        for _ in range(20):
+            prof = delta_profile(random_cdf(rng), random_cdf(rng))
+            values = np.unique(piece_values(prof))
+            # the middle of the widest gap between piece values: L is smooth there
+            k = int(np.argmax(np.diff(values)))
+            c, h = (values[k] + values[k + 1]) / 2, (values[k + 1] - values[k]) / 8
+            level, slope = level_measure(prof, c, with_slope=True)
+            assert level == level_measure(prof, c)
+            quotient = (level_measure(prof, c + h) - level_measure(prof, c - h)) / (2 * h)
+            assert slope == pytest.approx(quotient, rel=1e-2, abs=1e-9)
 
     @pytest.mark.parametrize("base,d_circle,offset_c", [
         (10, 6.2160293974009677e-06, 3.2184796258688537e-05),
