@@ -33,7 +33,6 @@ from .logseq import (
 )
 from .measures import (
     ATOM_MERGE_TOL,
-    CdfSegment,
     CircleEmpirical,
     DeltaProfile,
     PiecewiseCdf,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ATOM_MERGE_TOL",
     "AtomList",
-    "CdfSegment",
     "CircleEmpirical",
     "CIRCLE_SQRT_BOUND",
     "DeltaProfile",

@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "ATOM_MERGE_TOL",
     "CircleEmpirical",
-    "CdfSegment",
     "PiecewiseCdf",
     "DeltaProfile",
     "build_empirical",
@@ -66,27 +65,6 @@ class CircleEmpirical:
         return 1.0 / self.count
 
 
-@dataclass(frozen=True)
-class CdfSegment:
-    """One piece of a piecewise CDF: ``coef * base**t + offset`` on [t_lo, t_hi).
-
-    ``coef == 0`` encodes a constant piece at level ``offset``.
-    """
-
-    t_lo: float
-    t_hi: float
-    coef: float
-    offset: float
-    base: int
-
-    @property
-    def kind(self) -> str:
-        return "constant" if self.coef == 0.0 else "exponential"
-
-    def value(self, t: float) -> float:
-        return self.coef * self.base ** t + self.offset
-
-
 class _PiecewiseBase:
     """Shared piece bookkeeping for CDFs and CDF differences."""
 
@@ -98,16 +76,6 @@ class _PiecewiseBase:
     @property
     def piece_count(self) -> int:
         return int(self.coef.size)
-
-    @property
-    def segments(self) -> list[CdfSegment]:
-        """Materialize pieces as segment objects (intended for small CDFs)."""
-        b = self.bounds
-        return [
-            CdfSegment(float(b[i]), float(b[i + 1]), float(self.coef[i]),
-                       float(self.offset[i]), self.base)
-            for i in range(self.piece_count)
-        ]
 
     def _values_at(self, t: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return self.coef[idx] * np.power(float(self.base), t) + self.offset[idx]
@@ -134,11 +102,28 @@ class _PiecewiseBase:
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
         return float(out[0]) if scalar else out
 
+    def _bound_powers(self) -> np.ndarray:
+        """``base ** bounds``, computed once per instance and kept with it.
+
+        Slices ``[:-1]`` and ``[1:]`` are the powers at the piece starts and
+        ends.  The arrays are read-only, so a race between two threads costs
+        at most one extra computation.
+        """
+        powers = self.__dict__.get("_powers")
+        if powers is None:
+            powers = np.power(float(self.base), self.bounds)
+            powers.setflags(write=False)
+            object.__setattr__(self, "_powers", powers)
+        return powers
+
     def _piece_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Start values and left limits at the right ends of the pieces."""
-        b = float(self.base)
-        return (self.coef * np.power(b, self.bounds[:-1]) + self.offset,
-                self.coef * np.power(b, self.bounds[1:]) + self.offset)
+        if not self.coef.any():  # constant pieces: coef * b**t adds exactly 0
+            values = self.offset + 0.0
+            return values, values
+        powers = self._bound_powers()
+        return (self.coef * powers[:-1] + self.offset,
+                self.coef * powers[1:] + self.offset)
 
 
 def _check_piece_arrays(bounds: np.ndarray, coef: np.ndarray, offset: np.ndarray) -> None:
@@ -171,17 +156,16 @@ class PiecewiseCdf(_PiecewiseBase):
         _check_piece_arrays(bounds, coef, offset)
         if self.base < 2 or int(self.base) != self.base:
             raise ValueError(f"base must be an integer >= 2, got {self.base}")
-        starts = coef * np.power(float(self.base), bounds[:-1]) + offset
-        ends = coef * np.power(float(self.base), bounds[1:]) + offset
         if np.any(coef < 0.0):
             raise ValueError("CDF pieces must be non-decreasing (coef >= 0)")
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "offset", offset)
+        starts, ends = self._piece_values()
         if np.any(starts[1:] - ends[:-1] < -_EDGE_TOL):
             raise ValueError("negative jump at a piece boundary")
         if starts[0] < -_EDGE_TOL or abs(ends[-1] - 1.0) > _EDGE_TOL:
             raise ValueError("CDF must rise from 0 to a left limit of 1 at t=1")
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "offset", offset)
 
     def __call__(self, t, side: str = "right"):
         return self.value(t, side)
@@ -375,6 +359,30 @@ def rotate_cdf(F: PiecewiseCdf, y: float) -> PiecewiseCdf:
     return PiecewiseCdf(base=F.base, bounds=bounds, coef=coef, offset=offset)
 
 
+def _merge_pieces(f_bounds: np.ndarray, g_bounds: np.ndarray):
+    """Joint refinement of two covers of [0, 1) and each side's piece indices.
+
+    Returns ``(fi, gi, bounds)``: ``bounds`` is the sorted union of both bound
+    arrays, and the joint piece ``k`` lies in piece ``fi[k]`` of the first
+    cover and ``gi[k]`` of the second.  The shorter array is merged into the
+    longer one, so the only search is one per bound of the shorter array.
+    """
+    swap = f_bounds.size < g_bounds.size
+    big, small = (g_bounds, f_bounds) if swap else (f_bounds, g_bounds)
+    at = np.searchsorted(big, small)  # big[at - 1] < small <= big[at]
+    new = big[at] != small  # both covers end at 1, so at < big.size
+    # small[i] lands after the big bounds below it and the new bounds before it
+    landed = at + np.cumsum(new) - new
+    from_big = np.ones(big.size + np.count_nonzero(new), dtype=bool)
+    from_big[landed[new]] = False
+    bounds = np.empty(from_big.size)
+    bounds[from_big] = big
+    bounds[landed] = small
+    big_index = np.cumsum(from_big[:-1]) - 1
+    small_index = np.repeat(np.arange(small.size - 1), np.diff(landed))
+    return (small_index, big_index, bounds) if swap else (big_index, small_index, bounds)
+
+
 def delta_profile(F: PiecewiseCdf, G: PiecewiseCdf) -> DeltaProfile:
     """Difference profile ``t -> F(t) - G(t)`` on the joint piece refinement.
 
@@ -388,10 +396,7 @@ def delta_profile(F: PiecewiseCdf, G: PiecewiseCdf) -> DeltaProfile:
             f"cannot difference exponential pieces with bases {F.base} and {G.base}")
     base = F.base if f_exp or not g_exp else G.base
 
-    bounds = np.union1d(F.bounds, G.bounds)
-    los = bounds[:-1]
-    fi = np.searchsorted(F.bounds, los, side="right") - 1
-    gi = np.searchsorted(G.bounds, los, side="right") - 1
+    fi, gi, bounds = _merge_pieces(F.bounds, G.bounds)
     coef = F.coef[fi] - G.coef[gi]
     offset = F.offset[fi] - G.offset[gi]
     bounds, coef, offset = _coalesce_equal_constants(bounds, coef, offset)

@@ -14,6 +14,7 @@ from circletransport import (
     eval_cdf,
     rotate_cdf,
 )
+from circletransport.measures import _merge_pieces
 from conftest import random_cdf, random_step_cdf
 
 UNIT_FLOATS = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -240,6 +241,22 @@ class TestDeltaProfile:
     def test_left_value_wraps_to_zero_at_origin(self, rng):
         F, G = random_cdf(rng), random_cdf(rng)
         assert delta_profile(F, G).value(0.0, side="left") == 0.0
+
+    def test_merged_refinement_matches_sorted_union(self, rng):
+        """Merging the shorter cover into the longer one gives the arrays a
+        sorted union and one binary search per joint piece give."""
+        for _ in range(40):
+            F = random_step_cdf(rng, max_atoms=int(rng.integers(1, 300)))
+            shared = rng.choice(F.bounds[1:-1], size=min(5, F.piece_count - 1), replace=False)
+            atoms = rng.random(int(rng.integers(1, 300)))
+            G = cdf_of_empirical(build_empirical(np.concatenate((atoms, shared)), 10))
+            for A, B in ((F, G), (G, F), (F, cdf_wrapped_exponential(10, float(rng.random())))):
+                fi, gi, bounds = _merge_pieces(A.bounds, B.bounds)
+                union = np.union1d(A.bounds, B.bounds)
+                assert np.array_equal(bounds, union)
+                for k, t in enumerate(union[:-1]):
+                    assert fi[k] == np.searchsorted(A.bounds, t, side="right") - 1
+                    assert gi[k] == np.searchsorted(B.bounds, t, side="right") - 1
 
 
 @given(st.lists(UNIT_FLOATS, min_size=1, max_size=30), st.lists(UNIT_FLOATS, min_size=1, max_size=30))

@@ -24,6 +24,8 @@ from circletransport import (
     w1_circle,
     w1_line,
 )
+from circletransport import transport
+from circletransport.transport import _LevelProfile
 from conftest import random_cdf, random_step_cdf
 
 LN2 = math.log(2)
@@ -190,6 +192,119 @@ class TestMedianSearch:
         row = compute_metrics(base, 10 ** 5)
         assert row.d_circle == pytest.approx(d_circle, rel=1e-12, abs=0.0)
         assert row.offset_c == pytest.approx(offset_c, rel=1e-12, abs=0.0)
+
+
+def bracket_probes(prof, lo, hi, count=200):
+    """Levels spread over [lo, hi], its ends and their neighbours, and every
+    piece value inside it: where pieces switch between counting fully,
+    partly and not at all."""
+    values = piece_values(prof)
+    inside = np.unique(values[(lo <= values) & (values <= hi)])[:count]
+    ends = [lo, hi, math.nextafter(lo, hi), math.nextafter(hi, lo)]
+    return [float(c) for c in np.concatenate((np.linspace(lo, hi, count), inside, ends))]
+
+
+def narrowed(prof, lo, hi):
+    level = _LevelProfile(prof)
+    level.narrow(lo, hi)
+    return level
+
+
+def brackets(prof, rng):
+    """A tight bracket around the median offset and one between two piece values."""
+    c_lo, _ = median_offset(prof)
+    values = np.unique(piece_values(prof))
+    spread = 1e-3 * (values[-1] - values[0])
+    i, j = sorted(rng.choice(values.size, size=2, replace=False))
+    return [(c_lo - spread, c_lo + spread), (float(values[i]), float(values[j]))]
+
+
+NARROW_ROWS = [(2, 6000), (3, 5000), (10, 5000), (16, 5000)]
+
+
+class TestNarrowedLevel:
+    """A narrowed search profile answers with the bits of a full pass."""
+
+    def assert_same_bits(self, prof, lo, hi):
+        level = narrowed(prof, lo, hi)
+        for c in bracket_probes(prof, lo, hi):
+            got, slope = level_measure(level, c, with_slope=True)
+            want, full_slope = level_measure(prof, c, with_slope=True)
+            assert got.hex() == want.hex(), c
+            assert slope == pytest.approx(full_slope, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("base,N", NARROW_ROWS)
+    def test_rows(self, base, N, rng):
+        prof = nu_profile(base, N)
+        for lo, hi in brackets(prof, rng):
+            self.assert_same_bits(prof, lo, hi)
+
+    def test_random_pairs(self, rng):
+        for _ in range(20):
+            prof = delta_profile(random_cdf(rng), random_cdf(rng))
+            values = piece_values(prof)
+            if values.min() == values.max():
+                continue
+            for lo, hi in brackets(prof, rng):
+                self.assert_same_bits(prof, lo, hi)
+
+    def test_levels_outside_the_bracket_are_refused(self, rng):
+        prof = nu_profile(10, 5000)
+        for lo, hi in brackets(prof, rng):
+            level = narrowed(prof, lo, hi)
+            for c in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+                      lo - 1.0, hi + 1.0, math.nan):
+                with pytest.raises(ValueError):
+                    level_measure(level, c)
+
+    @pytest.mark.parametrize("base,N", NARROW_ROWS)
+    def test_level_is_monotone_around_the_median(self, base, N):
+        prof = nu_profile(base, N)
+        c_lo, _ = median_offset(prof)
+        cs = [c_lo]
+        for _ in range(300):
+            cs.insert(0, math.nextafter(cs[0], -math.inf))
+            cs.append(math.nextafter(cs[-1], math.inf))
+        level = narrowed(prof, cs[0], cs[-1])
+        levels = [level_measure(level, c) for c in cs]
+        assert all(a <= b for a, b in zip(levels, levels[1:]))
+        assert levels[299] < 0.5 <= levels[300]
+
+    def test_search_narrows_once(self, monkeypatch):
+        calls = []
+        narrow = _LevelProfile.narrow
+        monkeypatch.setattr(_LevelProfile, "narrow",
+                            lambda self, lo, hi: calls.append((lo, hi)) or narrow(self, lo, hi))
+        prof = nu_profile(10, 10 ** 4)
+        assert prof.piece_count >= transport._NARROW_MIN_PIECES
+        median_offset(prof)
+        assert len(calls) == 1
+
+    def test_flat_median_stretch_over_many_pieces(self, rng):
+        """The strict search for c_hi widens the narrowed profile again."""
+        pieces = 2 * transport._NARROW_MIN_PIECES
+        low, high = -rng.random(pieces // 2), 1.0 + rng.random(pieces // 2)
+        # dyadic widths: every sublevel measure is exact, so L is 1/2 on [max low, min high)
+        prof = DeltaProfile(base=2, bounds=np.arange(pieces + 1) / pieces,
+                            coef=np.zeros(pieces),
+                            offset=rng.permutation(np.concatenate((low, high))))
+        assert median_offset(prof) == (low.max(), high.min())
+        assert_median_interval(prof)
+
+
+@pytest.mark.parametrize("base,N,d_line,d_circle,offset_c", [
+    (10, 10 ** 5, "0x1.0d719f2c85720p-15", "0x1.a126926776faap-18", "0x1.0dfc52dcad001p-15"),
+    (2, 10 ** 5, "0x1.5f0a135eb7996p-14", "0x1.0d6d95b867076p-16", "0x1.5f21d7cdd2001p-14"),
+    (3, 300, "0x1.4f0a70c282109p-7", "0x1.403d7afd6e4d4p-9", "0x1.505c010333141p-7"),
+    (16, 2000, "0x1.65cd088034046p-11", "0x1.bfedab26e3f50p-13", "0x1.65715a685bd01p-11"),
+    (2, 13, "0x1.1de608c25dee1p-3", "0x1.bef05f81f05f2p-5", "0x1.12a2ce48a2addp-3"),
+])
+def test_rows_keep_their_bits(base, N, d_line, d_circle, offset_c):
+    """Rows to the last bit, as recorded before the level passes were narrowed
+    and the integrals restricted to the split pieces; (2, 13) has a flat
+    median stretch, so its search also runs for c_hi."""
+    row = compute_metrics(base, N)
+    assert (row.d_line.hex(), row.d_circle.hex(), row.offset_c.hex()) == (d_line, d_circle, offset_c)
 
 
 class TestW1Line:
