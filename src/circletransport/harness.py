@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .logseq import closed_form_cdf, digit_count, frac_log, reference_rotation
+from .logseq import LogSequenceSpec, closed_form_cdf, frac_log, reference_rotation
 from .measures import cdf_wrapped_exponential, delta_profile
-from .transport import _circle_from_profile, integral_abs
+from .transport import integral_abs, w1_circle_profile
 
 __all__ = [
     "SweepConfig",
@@ -68,10 +68,9 @@ class SweepConfig:
     threads: int = field(default_factory=lambda: os.cpu_count() or 1)
 
     def __post_init__(self):
-        if self.base < 2 or int(self.base) != self.base:
-            raise ValueError(f"base must be an integer >= 2, got {self.base}")
         if not 1 <= self.n_min <= self.n_max:
             raise ValueError(f"need 1 <= n_min <= n_max, got [{self.n_min}, {self.n_max}]")
+        LogSequenceSpec(self.base, self.n_max)  # the base and the int64 envelope
         if self.points_per_decade < 1:
             raise ValueError("points_per_decade must be >= 1")
         if self.n_min < self.base:
@@ -117,20 +116,16 @@ def decade_grid(n_min: int, n_max: int, points_per_decade: int) -> list[int]:
 
 def compute_metrics(base: int, N: int, metrics: tuple[str, ...] = ("line", "circle")) -> MetricsRow:
     """One exact row: distances of nu_N from its rotated exponential reference."""
+    n = LogSequenceSpec(base, N).digits
     if N < base:
         raise ValueError(f"need N >= base, got N={N} base={base}")
-    n = digit_count(base, N)
-    if base ** (n + 1) > np.iinfo(np.int64).max:
-        raise ValueError(
-            f"N={N} overflows exact integer arithmetic for base {base}; "
-            f"largest supported digit count is {int(62 / math.log2(base))}")
     start = time.perf_counter()
-    F = closed_form_cdf(base, N)
-    G = cdf_wrapped_exponential(base, reference_rotation(base, N))
-    profile = delta_profile(F, G)
+    # only the profile outlives this line, so the CDFs do not add to the row's peak
+    profile = delta_profile(closed_form_cdf(base, N),
+                            cdf_wrapped_exponential(base, reference_rotation(base, N)))
     d_line = integral_abs(profile, 0.0) if "line" in metrics else math.nan
     if "circle" in metrics:
-        circle = _circle_from_profile(profile)
+        circle = w1_circle_profile(profile)
         d_circle, offset_c = circle.distance, circle.offset
     else:
         d_circle, offset_c = math.nan, math.nan

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import CircleEmpirical, PiecewiseCdf, build_empirical, cdf_of_empirical
+from .measures import (CircleEmpirical, PiecewiseCdf, _check_base, build_empirical,
+                       cdf_of_empirical)
 
 __all__ = [
     "LogSequenceSpec",
@@ -27,28 +28,43 @@ __all__ = [
 ]
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
 class LogSequenceSpec:
-    """Base/length pair with the derived digit count n: b**(n-1) <= N < b**n."""
+    """Base/length pair with the derived digit count n: b**(n-1) <= N < b**n.
+
+    This is the engine's validity envelope: an integer base b >= 2, and at
+    most the largest n digits with b**(n+1) <= 2**63 - 1 (17 in base 10, 61
+    in base 2).  The bound is int64 because ``closed_form_cdf`` and
+    ``build_nu`` hold the integers up to N and the powers of b up to b**n in
+    int64 arrays and sum ``floor(i / b**j)`` there; the guard keeps one more
+    power of b as headroom.  Past it the counts would wrap around silently.
+    """
 
     base: int
     count: int
     digits: int = field(init=False)
 
     def __post_init__(self):
-        if self.base < 2 or int(self.base) != self.base:
-            raise ValueError(f"base must be an integer >= 2, got {self.base}")
         if self.count < 1:
             raise ValueError(f"count must be positive, got {self.count}")
-        object.__setattr__(self, "digits", digit_count(self.base, self.count))
+        digits = digit_count(self.base, self.count)  # tests the base
+        if self.base ** (digits + 1) > _INT64_MAX:
+            # int(): a float base would round 2**63 - 1 up to 2**63
+            largest = digit_count(self.base, _INT64_MAX // int(self.base)) - 1
+            raise ValueError(
+                f"N={self.count} overflows exact integer arithmetic for base {self.base}; "
+                f"largest supported digit count is {largest}")
+        object.__setattr__(self, "digits", digits)
 
 
 def digit_count(base: int, k: int) -> int:
     """Number of base-``b`` digits of ``k``, by integer comparisons only."""
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if base < 2 or int(base) != base:
-        raise ValueError(f"base must be an integer >= 2, got {base}")
+    _check_base(base)
     d, p = 1, base
     while k >= p:
         p *= base
@@ -79,11 +95,7 @@ def _frac_log_many(base: int, ks: np.ndarray) -> np.ndarray:
 
 def build_nu(base: int, count: int) -> CircleEmpirical:
     """Empirical measure of the fractional parts of log_b(k), k = 1..count."""
-    spec = LogSequenceSpec(base, count)
-    if int(base) ** (spec.digits + 1) > np.iinfo(np.int64).max:
-        raise ValueError(
-            f"count too large for exact integer arithmetic; "
-            f"max supported is about base**62 in bits, got N={count}")
+    LogSequenceSpec(base, count)  # the (base, N) envelope
     ks = np.arange(1, count + 1, dtype=np.int64)
     return build_empirical(np.sort(_frac_log_many(base, ks)), base)
 
@@ -101,9 +113,6 @@ def closed_form_cdf(base: int, count: int) -> PiecewiseCdf:
     b, N, n = spec.base, spec.count, spec.digits
     if N < b:
         return cdf_of_empirical(build_nu(b, N))
-    if b ** (n + 1) > np.iinfo(np.int64).max:
-        raise ValueError(
-            f"count too large for exact integer arithmetic, got N={count}")
 
     geom = (b ** n - 1) // (b - 1)  # sum of b**(n-1-j), j = 0..n-1
     log_b = math.log(b)
@@ -141,8 +150,8 @@ def significand_count(base: int, count: int, i: int) -> int:
     Per digit block dd the qualifying k form the run from b**(dd-1) up to
     floor(i * b**(dd-d)), capped by count; everything is integer arithmetic.
     """
-    spec = LogSequenceSpec(base, count)
-    b, N, n = spec.base, spec.count, spec.digits
+    # Python integers are exact at any size, so the int64 envelope does not apply
+    b, N, n = base, count, digit_count(base, count)
     d = digit_count(b, i)
     total = 0
     for dd in range(1, n + 1):

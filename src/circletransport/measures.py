@@ -13,7 +13,6 @@ shared freely across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +44,12 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
+def _check_base(base) -> None:
+    """The one test of a logarithm base: the paper's rates need an integer b >= 2."""
+    if base < 2 or int(base) != base:
+        raise ValueError(f"base must be an integer >= 2, got {base}")
+
+
 @dataclass(frozen=True)
 class CircleEmpirical:
     """Equal-weight atom set on [0, 1): N atoms, each of weight 1/N.
@@ -65,13 +70,30 @@ class CircleEmpirical:
         return 1.0 / self.count
 
 
+@dataclass(frozen=True)
 class _PiecewiseBase:
-    """Shared piece bookkeeping for CDFs and CDF differences."""
+    """Shared piece bookkeeping for CDFs and CDF differences.
+
+    Construction validates the base and the piece arrays and stores them
+    read-only.
+    """
 
     base: int
     bounds: np.ndarray  # shape (P+1,): bounds[0] == 0.0, bounds[-1] == 1.0
     coef: np.ndarray  # shape (P,)
     offset: np.ndarray  # shape (P,)
+
+    def __post_init__(self):
+        for name in ("bounds", "coef", "offset"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        bounds, coef, offset = self.bounds, self.coef, self.offset
+        if bounds.ndim != 1 or coef.shape != offset.shape or coef.size != bounds.size - 1:
+            raise ValueError("inconsistent piece array shapes")
+        if bounds.size < 2 or bounds[0] != 0.0 or bounds[-1] != 1.0:
+            raise ValueError("pieces must cover [0, 1)")
+        if np.any(np.diff(bounds) <= 0.0):
+            raise ValueError("piece bounds must be strictly increasing")
+        _check_base(self.base)
 
     @property
     def piece_count(self) -> int:
@@ -126,15 +148,6 @@ class _PiecewiseBase:
                 self.coef * powers[1:] + self.offset)
 
 
-def _check_piece_arrays(bounds: np.ndarray, coef: np.ndarray, offset: np.ndarray) -> None:
-    if bounds.ndim != 1 or coef.shape != offset.shape or coef.size != bounds.size - 1:
-        raise ValueError("inconsistent piece array shapes")
-    if bounds.size < 2 or bounds[0] != 0.0 or bounds[-1] != 1.0:
-        raise ValueError("pieces must cover [0, 1)")
-    if np.any(np.diff(bounds) <= 0.0):
-        raise ValueError("piece bounds must be strictly increasing")
-
-
 @dataclass(frozen=True)
 class PiecewiseCdf(_PiecewiseBase):
     """Right-continuous non-decreasing CDF on [0, 1) built from pieces.
@@ -144,31 +157,15 @@ class PiecewiseCdf(_PiecewiseBase):
     left limit at 1 equals 1.  ``F(0-) = 0`` by convention.
     """
 
-    base: int
-    bounds: np.ndarray
-    coef: np.ndarray
-    offset: np.ndarray
-
     def __post_init__(self):
-        bounds = _frozen(self.bounds)
-        coef = _frozen(self.coef)
-        offset = _frozen(self.offset)
-        _check_piece_arrays(bounds, coef, offset)
-        if self.base < 2 or int(self.base) != self.base:
-            raise ValueError(f"base must be an integer >= 2, got {self.base}")
-        if np.any(coef < 0.0):
+        super().__post_init__()
+        if np.any(self.coef < 0.0):
             raise ValueError("CDF pieces must be non-decreasing (coef >= 0)")
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "offset", offset)
         starts, ends = self._piece_values()
         if np.any(starts[1:] - ends[:-1] < -_EDGE_TOL):
             raise ValueError("negative jump at a piece boundary")
         if starts[0] < -_EDGE_TOL or abs(ends[-1] - 1.0) > _EDGE_TOL:
             raise ValueError("CDF must rise from 0 to a left limit of 1 at t=1")
-
-    def __call__(self, t, side: str = "right"):
-        return self.value(t, side)
 
 
 @dataclass(frozen=True)
@@ -178,20 +175,6 @@ class DeltaProfile(_PiecewiseBase):
     Each piece carries ``coef * base**t + offset`` with ``coef`` of either
     sign (0 encodes a constant); values stay within [-1, 1].
     """
-
-    base: int
-    bounds: np.ndarray
-    coef: np.ndarray
-    offset: np.ndarray
-
-    def __post_init__(self):
-        bounds = _frozen(self.bounds)
-        coef = _frozen(self.coef)
-        offset = _frozen(self.offset)
-        _check_piece_arrays(bounds, coef, offset)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "offset", offset)
 
 
 def _as_probe_array(t):
@@ -210,8 +193,7 @@ def build_empirical(positions, base: int) -> CircleEmpirical:
 
     Atoms are sorted; duplicates are preserved as multiplicity.
     """
-    if base < 2 or int(base) != base:
-        raise ValueError(f"base must be an integer >= 2, got {base}")
+    _check_base(base)
     pos = np.asarray(positions, dtype=np.float64)
     if pos.size == 0:
         raise ValueError("empirical measure needs at least one atom")
@@ -276,8 +258,7 @@ def cdf_wrapped_exponential(base: int, y: float) -> PiecewiseCdf:
     For ``y == 0`` this is ``(b**t - 1) / (b - 1)`` on one piece; for
     ``y > 0`` two exponential pieces joined continuously at ``1 - y``.
     """
-    if base < 2 or int(base) != base:
-        raise ValueError(f"base must be an integer >= 2, got {base}")
+    _check_base(base)
     if not 0.0 <= y < 1.0:
         raise ValueError(f"rotation must lie in [0, 1), got {y}")
     b = float(base)

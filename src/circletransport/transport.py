@@ -47,6 +47,7 @@ __all__ = [
     "median_offset",
     "w1_line",
     "w1_circle",
+    "w1_circle_profile",
     "cut_distance",
 ]
 
@@ -367,7 +368,11 @@ def _find_cut_point(profile: _LevelProfile, c: float) -> float | None:
     return min(candidates)
 
 
-def _circle_from_profile(profile: DeltaProfile) -> TransportResult:
+def w1_circle_profile(profile: DeltaProfile) -> TransportResult:
+    """Kantorovich distance on the circle for the difference profile ``F - G``.
+
+    The same as ``w1_circle`` for callers that already hold the profile.
+    """
     level = _LevelProfile(profile)
     c_lo, c_hi = median_offset(level)
     cut_point = _find_cut_point(level, c_lo)
@@ -400,7 +405,7 @@ def w1_circle(F: PiecewiseCdf, G: PiecewiseCdf) -> TransportResult:
     broken deterministically); the distance never exceeds the line distance
     or the circle diameter 1/2.
     """
-    return _circle_from_profile(delta_profile(F, G))
+    return w1_circle_profile(delta_profile(F, G))
 
 
 def cut_distance(F: PiecewiseCdf, G: PiecewiseCdf, s: float, variant: str = "D") -> float:

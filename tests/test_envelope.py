@@ -1,0 +1,78 @@
+"""The validity envelope: an integer base b >= 2 and a digit count whose
+digit sums stay exact in int64, each checked in one place."""
+
+import re
+
+import numpy as np
+import pytest
+
+from circletransport import (
+    DeltaProfile,
+    LogSequenceSpec,
+    PiecewiseCdf,
+    SweepConfig,
+    build_empirical,
+    build_nu,
+    cdf_wrapped_exponential,
+    closed_form_cdf,
+    compute_metrics,
+    digit_count,
+)
+from circletransport.cli import main
+
+BASE_CHECKED = {
+    "PiecewiseCdf": lambda b: PiecewiseCdf(base=b, bounds=np.array([0.0, 1.0]),
+                                           coef=np.array([0.0]), offset=np.array([1.0])),
+    "DeltaProfile": lambda b: DeltaProfile(base=b, bounds=np.array([0.0, 1.0]),
+                                           coef=np.array([0.0]), offset=np.array([0.0])),
+    "build_empirical": lambda b: build_empirical([0.5], b),
+    "cdf_wrapped_exponential": lambda b: cdf_wrapped_exponential(b, 0.25),
+    "digit_count": lambda b: digit_count(b, 1000),
+    "LogSequenceSpec": lambda b: LogSequenceSpec(b, 1000),
+    "SweepConfig": lambda b: SweepConfig(base=b),
+    "compute_metrics": lambda b: compute_metrics(b, 1000),
+}
+
+
+@pytest.mark.parametrize("base", [1, 2.5])
+@pytest.mark.parametrize("name", sorted(BASE_CHECKED))
+def test_every_entry_point_refuses_a_bad_base(name, base):
+    with pytest.raises(ValueError, match=r"^base must be an integer >= 2, got "):
+        BASE_CHECKED[name](base)
+
+
+def stated_digit_limit(base):
+    with pytest.raises(ValueError, match="supported") as err:
+        LogSequenceSpec(base, base ** 70)
+    return int(re.search(r"largest supported digit count is (\d+)", str(err.value)).group(1))
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 16])
+def test_stated_digit_limit_is_the_guard(base):
+    d = stated_digit_limit(base)
+    assert LogSequenceSpec(base, base ** (d - 1)).digits == d
+    assert LogSequenceSpec(base, base ** d - 1).digits == d
+    with pytest.raises(ValueError, match=f"largest supported digit count is {d}$"):
+        LogSequenceSpec(base, base ** d)
+
+
+@pytest.mark.parametrize("base,digits", [(2, 61), (10, 17), (2.0, 61)])
+def test_digit_limits(base, digits):
+    assert stated_digit_limit(base) == digits
+
+
+@pytest.mark.parametrize("entry", [build_nu, closed_form_cdf, compute_metrics])
+def test_row_entry_points_share_the_envelope(entry):
+    with pytest.raises(ValueError, match="largest supported digit count is 17$"):
+        entry(10, 10 ** 17)
+
+
+def test_sweep_config_checks_n_max_when_built():
+    with pytest.raises(ValueError, match="largest supported digit count is 61"):
+        SweepConfig(base=2, n_max=2 ** 62)
+
+
+def test_cli_states_the_limit(capsys):
+    code = main(["dist", "--base", "2", "--n", str(2 ** 61)])
+    assert code == 2
+    assert "largest supported digit count is 61" in capsys.readouterr().err
