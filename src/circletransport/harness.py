@@ -11,7 +11,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,7 +63,6 @@ class SweepConfig:
     n_min: int = 100
     n_max: int = 10 ** 6
     points_per_decade: int = 4
-    metrics: tuple[str, ...] = ("line", "circle")
     out: str | None = None
     threads: int = field(default_factory=lambda: os.cpu_count() or 1)
 
@@ -75,9 +74,6 @@ class SweepConfig:
             raise ValueError("points_per_decade must be >= 1")
         if self.n_min < self.base:
             raise ValueError(f"n_min must be at least the base ({self.base})")
-        bad = set(self.metrics) - {"line", "circle"}
-        if bad or not self.metrics:
-            raise ValueError(f"metrics must be a non-empty subset of line/circle, got {self.metrics}")
         if self.threads < 1:
             raise ValueError("thread budget must be positive")
 
@@ -116,7 +112,8 @@ def decade_grid(n_min: int, n_max: int, points_per_decade: int) -> list[int]:
 
 def compute_metrics(base: int, N: int, metrics: tuple[str, ...] = ("line", "circle")) -> MetricsRow:
     """One exact row: distances of nu_N from its rotated exponential reference."""
-    n = LogSequenceSpec(base, N).digits
+    spec = LogSequenceSpec(base, N)  # the envelope; its base is an int
+    base, n = spec.base, spec.digits
     if N < base:
         raise ValueError(f"need N >= base, got N={N} base={base}")
     start = time.perf_counter()
@@ -146,9 +143,9 @@ def run_sweep(cfg: SweepConfig) -> list[MetricsRow]:
     grid = decade_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade)
     if cfg.threads > 1 and len(grid) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(lambda N: compute_metrics(cfg.base, N, cfg.metrics), grid))
+            rows = list(pool.map(lambda N: compute_metrics(cfg.base, N), grid))
     else:
-        rows = [compute_metrics(cfg.base, N, cfg.metrics) for N in grid]
+        rows = [compute_metrics(cfg.base, N) for N in grid]
     rows.sort(key=lambda r: r.N)
     if cfg.out is not None:
         write_csv(rows, cfg.out)
@@ -265,7 +262,6 @@ def verify(cfg: SweepConfig) -> VerificationReport:
         return VerificationReport(
             checks=[("FAIL", "grid", f"insufficient range: n_max={cfg.n_max} < 1000")],
             exit_code=2)
-    cfg = replace(cfg, metrics=("line", "circle"))
     rows = run_sweep(cfg)
     gated = [r for r in rows if r.N >= 1000]
     checks: list[tuple[str, str, str]] = []

@@ -50,12 +50,15 @@ class LogSequenceSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"count must be positive, got {self.count}")
-        digits = digit_count(self.base, self.count)  # tests the base
-        if self.base ** (digits + 1) > _INT64_MAX:
-            # int(): a float base would round 2**63 - 1 up to 2**63
-            largest = digit_count(self.base, _INT64_MAX // int(self.base)) - 1
+        _check_base(self.base)
+        # stored as an int, so a float base such as 10.0 takes the integer path
+        base = int(self.base)
+        object.__setattr__(self, "base", base)
+        digits = digit_count(base, self.count)
+        if base ** (digits + 1) > _INT64_MAX:
+            largest = digit_count(base, _INT64_MAX // base) - 1
             raise ValueError(
-                f"N={self.count} overflows exact integer arithmetic for base {self.base}; "
+                f"N={self.count} overflows exact integer arithmetic for base {base}; "
                 f"largest supported digit count is {largest}")
         object.__setattr__(self, "digits", digits)
 
@@ -95,7 +98,7 @@ def _frac_log_many(base: int, ks: np.ndarray) -> np.ndarray:
 
 def build_nu(base: int, count: int) -> CircleEmpirical:
     """Empirical measure of the fractional parts of log_b(k), k = 1..count."""
-    LogSequenceSpec(base, count)  # the (base, N) envelope
+    base = LogSequenceSpec(base, count).base  # the (base, N) envelope
     ks = np.arange(1, count + 1, dtype=np.int64)
     return build_empirical(np.sort(_frac_log_many(base, ks)), base)
 

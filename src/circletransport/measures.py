@@ -25,7 +25,6 @@ __all__ = [
     "build_empirical",
     "cdf_of_empirical",
     "cdf_wrapped_exponential",
-    "eval_cdf",
     "rotate_cdf",
     "delta_profile",
 ]
@@ -50,7 +49,7 @@ def _check_base(base) -> None:
         raise ValueError(f"base must be an integer >= 2, got {base}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircleEmpirical:
     """Equal-weight atom set on [0, 1): N atoms, each of weight 1/N.
 
@@ -70,12 +69,15 @@ class CircleEmpirical:
         return 1.0 / self.count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _PiecewiseBase:
     """Shared piece bookkeeping for CDFs and CDF differences.
 
     Construction validates the base and the piece arrays and stores them
-    read-only.
+    read-only.  Instances compare and hash by identity (``eq=False``): a
+    field-wise ``==`` over numpy arrays has no single truth value.
+    Subclasses add no fields and no decorator, which would bring the
+    generated ``__eq__`` back.
     """
 
     base: int
@@ -148,7 +150,6 @@ class _PiecewiseBase:
                 self.coef * powers[1:] + self.offset)
 
 
-@dataclass(frozen=True)
 class PiecewiseCdf(_PiecewiseBase):
     """Right-continuous non-decreasing CDF on [0, 1) built from pieces.
 
@@ -168,7 +169,6 @@ class PiecewiseCdf(_PiecewiseBase):
             raise ValueError("CDF must rise from 0 to a left limit of 1 at t=1")
 
 
-@dataclass(frozen=True)
 class DeltaProfile(_PiecewiseBase):
     """Pointwise difference of two CDFs over their joint piece refinement.
 
@@ -213,43 +213,23 @@ def _coalesce_equal_constants(bounds, coef, offset):
     return np.concatenate((bounds[:-1][keep], bounds[-1:])), coef[keep], offset[keep]
 
 
-def _merge_close_atoms(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Representatives and group ids after merging atoms within the tolerance."""
-    starts = np.concatenate(([True], np.diff(positions) > ATOM_MERGE_TOL))
-    return positions[starts], np.cumsum(starts) - 1
-
-
-def _step_cdf_from_levels(rep: np.ndarray, levels: np.ndarray, base: int) -> PiecewiseCdf:
-    if rep[0] > 0.0:
-        bounds = np.concatenate(([0.0], rep, [1.0]))
-        levels = np.concatenate(([0.0], levels))
-    else:
-        bounds = np.concatenate((rep, [1.0]))
-    return PiecewiseCdf(base=base, bounds=bounds,
-                        coef=np.zeros_like(levels), offset=levels)
-
-
-def _step_cdf_from_atoms(positions: np.ndarray, masses: np.ndarray, base: int) -> PiecewiseCdf:
-    """Step CDF for a sorted weighted atom list; near-equal atoms are merged."""
-    rep, group = _merge_close_atoms(positions)
-    mass = np.zeros(rep.size)
-    np.add.at(mass, group, masses)
-    levels = np.cumsum(mass)
-    levels[-1] = 1.0  # total mass is 1 by construction
-    return _step_cdf_from_levels(rep, levels, base)
-
-
 def cdf_of_empirical(m: CircleEmpirical) -> PiecewiseCdf:
     """Pure step CDF of an empirical measure; jump at each distinct atom.
 
     Levels are exact integer multiplicity counts divided by N once, so they
     match integer-sum constructions bit for bit.
     """
-    n = m.count
-    rep, group = _merge_close_atoms(m.positions)
-    counts = np.bincount(group)
-    levels = np.cumsum(counts) / n
-    return _step_cdf_from_levels(rep, levels, m.base)
+    # an atom within the tolerance of the one before it joins that one's jump
+    starts = np.concatenate(([True], np.diff(m.positions) > ATOM_MERGE_TOL))
+    rep = m.positions[starts]
+    levels = np.cumsum(np.bincount(np.cumsum(starts) - 1)) / m.count
+    if rep[0] > 0.0:
+        bounds = np.concatenate(([0.0], rep, [1.0]))
+        levels = np.concatenate(([0.0], levels))
+    else:
+        bounds = np.concatenate((rep, [1.0]))
+    return PiecewiseCdf(base=m.base, bounds=bounds,
+                        coef=np.zeros_like(levels), offset=levels)
 
 
 def cdf_wrapped_exponential(base: int, y: float) -> PiecewiseCdf:
@@ -276,20 +256,6 @@ def cdf_wrapped_exponential(base: int, y: float) -> PiecewiseCdf:
     )
 
 
-def eval_cdf(F: PiecewiseCdf, t, side: str = "right"):
-    """Evaluate ``F(t)`` (right) or the left limit ``F(t-)``; see ``value``."""
-    return F.value(t, side)
-
-
-def _atoms_of_step_cdf(F: PiecewiseCdf):
-    """Jump locations and sizes of a pure step CDF."""
-    levels = F.offset
-    jumps = np.diff(levels, prepend=0.0)
-    locs = F.bounds[:-1]
-    keep = jumps > 0.0
-    return locs[keep], jumps[keep]
-
-
 def rotate_cdf(F: PiecewiseCdf, y: float) -> PiecewiseCdf:
     """CDF of the rotated measure: atoms move ``x -> <x - y>``.
 
@@ -303,18 +269,12 @@ def rotate_cdf(F: PiecewiseCdf, y: float) -> PiecewiseCdf:
         raise ValueError(f"rotation must lie in [0, 1), got {y}")
     if y == 0.0:
         return F
-    if not np.any(F.coef != 0.0):
-        # Step CDF: re-sort the wrapped atoms instead of composing formulas.
-        locs, masses = _atoms_of_step_cdf(F)
-        moved = locs - y
-        moved[moved < 0.0] += 1.0
-        order = np.argsort(moved, kind="stable")
-        return _step_cdf_from_atoms(moved[order], masses[order], F.base)
 
-    # General case: G(t) = F(<t + y>) - F(y-) (+1 past the wrap at 1 - y).
-    # Source pieces over [y, 1) land on [0, 1 - y); pieces over [0, y) land
-    # on [1 - y, 1).  Exponential coefficients pick up b**y resp. b**(y-1).
-    f_left_y = eval_cdf(F, y, side="left")
+    # G(t) = F(<t + y>) - F(y-) (+1 past the wrap at 1 - y).  Source pieces
+    # over [y, 1) land on [0, 1 - y); pieces over [0, y) land on [1 - y, 1).
+    # Exponential coefficients pick up b**y resp. b**(y-1); a step CDF's
+    # constant pieces just move, and an atom at y lands at 0.
+    f_left_y = F.value(y, side="left")
     b = float(F.base)
     by = b ** y
     k = int(np.searchsorted(F.bounds, y, side="right") - 1)

@@ -33,9 +33,12 @@ __all__ = [
 _CIRCLE_BRUTE_CAP = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomList:
-    """Weighted atoms on [0, 1); weights are positive and sum to 1."""
+    """Weighted atoms on [0, 1); weights are positive and sum to 1.
+
+    Compares and hashes by identity, since its fields are arrays.
+    """
 
     positions: np.ndarray
     weights: np.ndarray

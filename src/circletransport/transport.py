@@ -65,7 +65,6 @@ class TransportResult:
     offset: float
     offset_interval: tuple[float, float]
     cut_point: float | None
-    piece_count: int
 
 
 def integral_abs(profile: DeltaProfile, c: float) -> float:
@@ -233,15 +232,16 @@ def _midpoint(lo: float, hi: float) -> float:
     return x if k >= 0 else -x
 
 
-def _bracketed_newton(level_slope, lo: float, hi: float, c: float, strict: bool,
-                      narrow) -> tuple[float, float, float]:
+def _bracketed_newton(level: _LevelProfile, lo: float, hi: float, c: float,
+                      strict: bool) -> tuple[float, float, float]:
     """Shrink ``(lo, hi]`` to adjacent floats around where the level crosses 1/2.
 
-    ``level_slope(c)`` returns ``(level, slope)``.  A probe is *above* when
-    its level is ``>= 1/2`` (``> 1/2`` when ``strict``); the invariant is
-    that ``lo`` is not above and ``hi`` is.  ``hi`` must start at or above
-    every value of the profile, where the level is 1.  Returns
-    ``(lo, hi, level at hi)``.
+    Each probe is one ``level_measure(level, c, True)`` pass, which gives
+    the level ``L(c)`` and its slope; ``strict`` subtracts the atom
+    ``measure{delta == c}``.  A probe is *above* when its level is ``>= 1/2``
+    (``> 1/2`` when ``strict``); the invariant is that ``lo`` is not above
+    and ``hi`` is.  ``hi`` must start at or above every value of the
+    profile, where the level is 1.  Returns ``(lo, hi, level at hi)``.
 
     Each probe is the Newton step from the previous one when it lands inside
     the bracket, and the midpoint by rank otherwise (always, where the slope
@@ -251,28 +251,38 @@ def _bracketed_newton(level_slope, lo: float, hi: float, c: float, strict: bool,
     doubles the step, and a level of exactly 1/2 steps by one ulp, so the
     other side is found in a few probes instead of by halving from afar.
 
-    Once probes have landed on both sides, ``narrow(lo, hi)`` is called
-    once; every later probe lies inside that bracket.
+    A profile of ``_NARROW_MIN_PIECES`` or more is narrowed to the bracket
+    once probes have landed on both sides; every later probe lies inside
+    it.  The strict search first narrows to its starting bracket, since the
+    first search left the profile narrowed below it.
     """
+    narrow = level.piece_count >= _NARROW_MIN_PIECES
+    if narrow and strict:
+        level.narrow(lo, hi)
     level_hi = 1.0  # the level at and above every value of the profile
     stretch = 1.0
     was_above = None
     while math.nextafter(lo, hi) < hi:
         if not lo < c < hi:
             c = _midpoint(lo, hi)
-        level, slope = level_slope(c)
-        above = level > 0.5 if strict else level >= 0.5
+        # looked up on the module at each probe; the benchmark counts these calls
+        level_c, slope = level_measure(level, c, True)
+        if strict:
+            # constant pieces at c are active: their value range is {c}, inside the bracket
+            at_c = (level.a_coef == 0.0) & (level.a_offset == c)
+            level_c -= float(np.sum(level.width[at_c]))
+        above = level_c > 0.5 if strict else level_c >= 0.5
         if above:
-            hi, level_hi = c, level
+            hi, level_hi = c, level_c
         else:
             lo = c
-        if narrow is not None and was_above is not None and above != was_above:
-            narrow(lo, hi)
-            narrow = None
+        if narrow and was_above is not None and above != was_above:
+            level.narrow(lo, hi)
+            narrow = False
         stretch = 2.0 * stretch if above == was_above else 1.0
         was_above = above
         if slope > 0.0:
-            step = (0.5 - level) / slope
+            step = (0.5 - level_c) / slope
             if step == 0.0:  # level exactly 1/2: creep off the plateau
                 step = -math.ulp(c) if above else math.ulp(c)
             c += stretch * step
@@ -294,7 +304,9 @@ def median_offset(profile: DeltaProfile) -> tuple[float, float]:
     ``L'(c) = sum 1 / (|c - d_i| ln b)`` over the exponential pieces whose
     value range straddles ``c``.  If ``L(c_lo) > 1/2`` the interval is the
     single point ``c_lo``; otherwise the same search on the strict level
-    ``L(c) - measure{delta == c}`` finds ``c_hi``.
+    ``L(c) - measure{delta == c}`` finds ``c_hi``.  A constant profile
+    starts the search at adjacent floats, so it returns its one value
+    without a probe.
 
     Once a search has probed both sides of 1/2 it narrows its profile to
     the bracket, so later passes evaluate only the pieces whose value range
@@ -308,34 +320,15 @@ def median_offset(profile: DeltaProfile) -> tuple[float, float]:
     v_lo, v_hi = level.v_lo, level.v_hi
     lowest = float(min(v_lo.min(), v_hi.min()))
     highest = float(max(v_lo.max(), v_hi.max()))
-    if lowest == highest:
-        return lowest, lowest
     # integral of a*b**t + d over a piece is (v_hi - v_lo) / ln b + d * width
     mean = (float(np.sum(v_hi - v_lo)) / level.log_b
             + float(np.dot(level.offset, np.diff(level.bounds))))
-
-    def level_slope(c: float) -> tuple[float, float]:
-        # one level_measure call per probe; the benchmark counts these as level passes
-        return level_measure(level, c, True)
-
-    narrow = level.narrow if level.piece_count >= _NARROW_MIN_PIECES else None
     _, c_lo, level_c_lo = _bracketed_newton(
-        level_slope, math.nextafter(lowest, -math.inf), highest, mean, strict=False,
-        narrow=narrow)
+        level, math.nextafter(lowest, -math.inf), highest, mean, strict=False)
     if level_c_lo > 0.5:
         return c_lo, c_lo
-
-    def strict_level(c: float) -> tuple[float, float]:
-        below_or_at, slope = level_slope(c)
-        # constant pieces at c are active: their value range is {c}, inside the bracket
-        at_c = (level.a_coef == 0.0) & (level.a_offset == c)
-        return below_or_at - float(np.sum(level.width[at_c])), slope
-
-    top = math.nextafter(highest, math.inf)
-    if narrow is not None:
-        narrow(c_lo, top)  # the first search left it narrowed below c_lo
-    c_hi, _, _ = _bracketed_newton(strict_level, c_lo, top, math.nextafter(c_lo, math.inf),
-                                   strict=True, narrow=narrow)
+    c_hi, _, _ = _bracketed_newton(level, c_lo, math.nextafter(highest, math.inf),
+                                   math.nextafter(c_lo, math.inf), strict=True)
     return c_lo, c_hi
 
 
@@ -382,7 +375,6 @@ def w1_circle_profile(profile: DeltaProfile) -> TransportResult:
         offset=c_lo,
         offset_interval=(c_lo, c_hi),
         cut_point=cut_point,
-        piece_count=profile.piece_count,
     )
 
 
@@ -394,7 +386,6 @@ def w1_line(F: PiecewiseCdf, G: PiecewiseCdf) -> TransportResult:
         offset=0.0,
         offset_interval=(0.0, 0.0),
         cut_point=None,
-        piece_count=profile.piece_count,
     )
 
 

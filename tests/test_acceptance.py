@@ -12,15 +12,12 @@ import numpy as np
 import pytest
 
 from circletransport import (
-    CIRCLE_SQRT_BOUND,
     SweepConfig,
     build_empirical,
     build_nu,
     cdf_of_empirical,
     cdf_wrapped_exponential,
     closed_form_cdf,
-    equivalence_trials,
-    eval_cdf,
     fit_rate,
     line_rate_limit,
     rotate_cdf,
@@ -28,7 +25,13 @@ from circletransport import (
     w1_circle,
     w1_line,
 )
-from circletransport.harness import _decade_medians, _non_increasing, _phase_classes
+from circletransport.harness import (
+    CIRCLE_SQRT_BOUND,
+    _decade_medians,
+    _non_increasing,
+    _phase_classes,
+)
+from circletransport.oracle import equivalence_trials
 from conftest import SEED, random_cdf, random_step_cdf
 from test_transport import min_over_cut_candidates
 
@@ -149,7 +152,7 @@ class TestCriterion6ClosedFormIdentity:
                 counts_g = np.rint(G.offset * N).astype(np.int64)
                 assert np.array_equal(counts_f, counts_g), (base, N)
                 t = rng.random(1000)
-                err = float(np.max(np.abs(eval_cdf(F, t) - eval_cdf(G, t))))
+                err = float(np.max(np.abs(F.value(t) - G.value(t))))
                 worst = max(worst, err)
                 assert err <= PROBE_TOL, (base, N, err)
         report("6 closed-form-cdf-identity", True,
@@ -167,7 +170,7 @@ class TestCriterion7RotatedExponentialIdentity:
                 R = rotate_cdf(E, float(y))
                 W = cdf_wrapped_exponential(base, float(y))
                 t = rng.random(1000)
-                worst = max(worst, float(np.max(np.abs(eval_cdf(R, t) - eval_cdf(W, t)))))
+                worst = max(worst, float(np.max(np.abs(R.value(t) - W.value(t)))))
         report("7 rotated-exponential-identity", worst <= PROBE_TOL,
                f"50 rotations x bases 2,10, 1000 probes each, worst gap {worst:.2e}")
 

@@ -8,7 +8,6 @@ import pytest
 
 from circletransport import (
     DeltaProfile,
-    LogSequenceSpec,
     PiecewiseCdf,
     SweepConfig,
     build_empirical,
@@ -16,9 +15,9 @@ from circletransport import (
     cdf_wrapped_exponential,
     closed_form_cdf,
     compute_metrics,
-    digit_count,
 )
 from circletransport.cli import main
+from circletransport.logseq import LogSequenceSpec, digit_count
 
 BASE_CHECKED = {
     "PiecewiseCdf": lambda b: PiecewiseCdf(base=b, bounds=np.array([0.0, 1.0]),
@@ -76,3 +75,19 @@ def test_cli_states_the_limit(capsys):
     code = main(["dist", "--base", "2", "--n", str(2 ** 61)])
     assert code == 2
     assert "largest supported digit count is 61" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base", [2, 3, 10])
+def test_float_base_gives_the_int_base_row(base):
+    want = compute_metrics(base, 1000)
+    got = compute_metrics(float(base), 1000)
+    assert type(got.base) is int
+    for name in ("d_line", "d_circle", "offset_c"):
+        assert getattr(got, name).hex() == getattr(want, name).hex()
+
+
+def test_float_base_closed_form_cdf():
+    want, got = closed_form_cdf(2, 100), closed_form_cdf(2.0, 100)
+    assert got.base == 2 and type(got.base) is int
+    for name in ("bounds", "coef", "offset"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))

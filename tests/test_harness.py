@@ -149,15 +149,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepConfig(base=10, points_per_decade=0)
         with pytest.raises(ValueError):
-            SweepConfig(base=10, metrics=("area",))
-        with pytest.raises(ValueError):
             SweepConfig(base=10, threads=0)
 
 
 class TestPhaseClasses:
     def test_decimal_grid_has_four_classes(self):
         rows = run_sweep(SweepConfig(base=10, n_min=1000, n_max=10 ** 5,
-                                     points_per_decade=4, metrics=("line",)))
+                                     points_per_decade=4))
         classes = _phase_classes(rows)
         assert sorted(len(c) for c in classes) == [2, 2, 2, 3]
         powers = next(c for c in classes if len(c) == 3)

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from circletransport import (
-    LogSequenceSpec,
     build_nu,
     cdf_of_empirical,
     closed_form_cdf,
+)
+from circletransport.logseq import (
+    LogSequenceSpec,
     digit_count,
-    eval_cdf,
     frac_log,
     reference_rotation,
     significand_count,
@@ -89,15 +90,15 @@ class TestBuildNu:
 class TestClosedFormCdf:
     def test_levels_at_ten(self):
         F = closed_form_cdf(10, 10)
-        assert eval_cdf(F, 0.0) == pytest.approx(0.2)
-        assert eval_cdf(F, 0.5) == pytest.approx(0.4)
+        assert F.value(0.0) == pytest.approx(0.2)
+        assert F.value(0.5) == pytest.approx(0.4)
 
     def test_left_limit_at_one(self, rng):
         for _ in range(20):
             b = int(rng.choice([2, 3, 10]))
             N = int(rng.integers(1, 5000))
             F = closed_form_cdf(b, N)
-            assert eval_cdf(F, 1.0, side="left") == pytest.approx(1.0, abs=1e-15)
+            assert F.value(1.0, side="left") == pytest.approx(1.0, abs=1e-15)
 
     def test_degenerate_small_count_falls_back(self):
         F = closed_form_cdf(10, 5)
@@ -120,11 +121,11 @@ class TestClosedFormCdf:
             F = closed_form_cdf(b, N)
             G = cdf_of_empirical(build_nu(b, N))
             t = rng.random(1000)
-            assert np.max(np.abs(eval_cdf(F, t) - eval_cdf(G, t))) <= 1e-12
+            assert np.max(np.abs(F.value(t) - G.value(t))) <= 1e-12
             bp = F.bounds[1:-1]
             nudged = np.concatenate((np.clip(bp - 1e-9, 0, None), bp))
             for side in ("left", "right"):
-                err = np.max(np.abs(eval_cdf(F, nudged, side) - eval_cdf(G, nudged, side)))
+                err = np.max(np.abs(F.value(nudged, side) - G.value(nudged, side)))
                 assert err <= 1e-12
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,15 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circletransport import (
-    ATOM_MERGE_TOL,
     build_empirical,
     cdf_of_empirical,
     cdf_wrapped_exponential,
     delta_profile,
-    eval_cdf,
     rotate_cdf,
 )
-from circletransport.measures import _merge_pieces
+from circletransport.measures import ATOM_MERGE_TOL, _merge_pieces
 from conftest import random_cdf, random_step_cdf
 
 UNIT_FLOATS = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -62,23 +61,23 @@ class TestCdfOfEmpirical:
     def test_full_mass_at_zero(self):
         F = cdf_of_empirical(build_empirical([0.0], 10))
         for t in (0.0, 0.3, 0.999):
-            assert eval_cdf(F, t) == 1.0
+            assert F.value(t) == 1.0
 
     def test_two_atoms(self):
         F = cdf_of_empirical(build_empirical([0.25, 0.75], 10))
-        assert eval_cdf(F, 0.1) == 0.0
-        assert eval_cdf(F, 0.25) == 0.5
-        assert eval_cdf(F, 0.5) == 0.5
-        assert eval_cdf(F, 0.75) == 1.0
+        assert F.value(0.1) == 0.0
+        assert F.value(0.25) == 0.5
+        assert F.value(0.5) == 0.5
+        assert F.value(0.75) == 1.0
 
     def test_nu_ten_levels_match_direct_count(self):
         fracs = sorted(math.log10(k) % 1.0 for k in range(1, 11))
         F = cdf_of_empirical(build_empirical(fracs, 10))
         for t in (0.0, 0.5):
             direct = sum(1 for k in range(1, 11) if 10 ** (math.log10(k) % 1.0) <= 10 ** t + 1e-12)
-            assert eval_cdf(F, t) == pytest.approx(direct / 10, abs=1e-12)
-        assert eval_cdf(F, 0.0) == pytest.approx(0.2)
-        assert eval_cdf(F, 0.5) == pytest.approx(0.4)
+            assert F.value(t) == pytest.approx(direct / 10, abs=1e-12)
+        assert F.value(0.0) == pytest.approx(0.2)
+        assert F.value(0.5) == pytest.approx(0.4)
 
     def test_total_jump_mass_is_one(self, rng):
         for _ in range(20):
@@ -96,17 +95,17 @@ class TestWrappedExponential:
         F = cdf_wrapped_exponential(2, 0.0)
         assert F.piece_count == 1
         for t in (0.0, 0.25, 0.5, 0.9):
-            assert eval_cdf(F, t) == pytest.approx(2 ** t - 1, abs=1e-15)
-        assert eval_cdf(F, 1.0, side="left") == pytest.approx(1.0, abs=1e-15)
+            assert F.value(t) == pytest.approx(2 ** t - 1, abs=1e-15)
+        assert F.value(1.0, side="left") == pytest.approx(1.0, abs=1e-15)
 
     def test_rotated_value_before_wrap(self):
         F = cdf_wrapped_exponential(10, 0.5)
         assert F.piece_count == 2
         expected = (10 - 10 ** 0.5) / 9
-        assert eval_cdf(F, 0.5, side="left") == pytest.approx(expected, abs=1e-14)
+        assert F.value(0.5, side="left") == pytest.approx(expected, abs=1e-14)
 
     def test_rotation_by_fraction_of_exact_power_is_identity(self):
-        from circletransport import reference_rotation
+        from circletransport.logseq import reference_rotation
 
         y = reference_rotation(10, 100)
         assert y == 0.0
@@ -126,41 +125,41 @@ class TestWrappedExponential:
             for y in rng.random(50):
                 F = cdf_wrapped_exponential(b, float(y))
                 split = F.bounds[1]
-                left = eval_cdf(F, split, side="left")
-                right = eval_cdf(F, split, side="right")
+                left = F.value(split, side="left")
+                right = F.value(split, side="right")
                 assert abs(left - right) <= 1e-14
 
 
 class TestEvalCdf:
     def test_jump_semantics(self):
         F = cdf_of_empirical(build_empirical([0.5], 10))
-        assert eval_cdf(F, 0.5, side="right") == 1.0
-        assert eval_cdf(F, 0.5, side="left") == 0.0
+        assert F.value(0.5, side="right") == 1.0
+        assert F.value(0.5, side="left") == 0.0
 
     def test_exponential_values(self):
         F = cdf_wrapped_exponential(2, 0.0)
-        assert eval_cdf(F, 0.0) == 0.0
-        assert eval_cdf(F, 0.5) == pytest.approx(math.sqrt(2) - 1, abs=1e-15)
+        assert F.value(0.0) == 0.0
+        assert F.value(0.5) == pytest.approx(math.sqrt(2) - 1, abs=1e-15)
 
     def test_left_limit_conventions(self):
         F = cdf_wrapped_exponential(3, 0.25)
-        assert eval_cdf(F, 0.0, side="left") == 0.0
-        assert eval_cdf(F, 1.0, side="left") == pytest.approx(1.0, abs=1e-12)
+        assert F.value(0.0, side="left") == 0.0
+        assert F.value(1.0, side="left") == pytest.approx(1.0, abs=1e-12)
 
     def test_domain_errors(self):
         F = cdf_wrapped_exponential(2, 0.0)
         with pytest.raises(ValueError):
-            eval_cdf(F, 1.0, side="right")
+            F.value(1.0, side="right")
         with pytest.raises(ValueError):
-            eval_cdf(F, -0.2)
+            F.value(-0.2)
         with pytest.raises(ValueError):
-            eval_cdf(F, 0.5, side="middle")
+            F.value(0.5, side="middle")
 
     def test_monotone_and_bounded(self, rng):
         for _ in range(10):
             F = random_cdf(rng)
             t = np.sort(rng.random(1000))
-            vals = eval_cdf(F, t)
+            vals = F.value(t)
             assert np.all(np.diff(vals) >= -1e-15)
             assert np.all((vals >= -1e-15) & (vals <= 1 + 1e-15))
 
@@ -188,14 +187,62 @@ class TestRotateCdf:
             F = random_cdf(rng)
             y = float(rng.random())
             back = rotate_cdf(rotate_cdf(F, y), (1.0 - y) % 1.0)
-            err = np.max(np.abs(eval_cdf(back, t) - eval_cdf(F, t)))
+            err = np.max(np.abs(back.value(t) - F.value(t)))
             assert err <= 1e-12
 
     def test_rotation_of_atom(self):
         F = cdf_of_empirical(build_empirical([0.0], 10))
         R = rotate_cdf(F, 0.25)  # atom moves to <0 - 0.25> = 0.75
-        assert eval_cdf(R, 0.5) == 0.0
-        assert eval_cdf(R, 0.75) == 1.0
+        assert R.value(0.5) == 0.0
+        assert R.value(0.75) == 1.0
+
+    def test_step_cdf_matches_rotated_atoms(self, rng):
+        """Rotating a step CDF by the piece formula gives the step CDF of the
+        moved atoms ``<x - y>``, away from the atoms themselves."""
+        worst = 0.0
+        for trial in range(300):
+            x = rng.random(int(rng.integers(1, 301)))
+            if trial % 3 == 0:
+                x[0] = 0.0
+            F = cdf_of_empirical(build_empirical(x, 10))
+            y = float(rng.choice(x)) if trial % 2 == 0 else float(rng.random())
+            moved = x - y
+            moved[moved < 0.0] += 1.0
+            atoms = np.unique(moved)
+            edges = np.concatenate(([0.0], atoms, [1.0]))
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            t = rng.random(1000)
+            padded = np.concatenate(([-np.inf], atoms, [np.inf]))
+            k = np.searchsorted(padded, t)
+            gap = np.minimum(padded[k] - t, t - padded[k - 1])
+            t = np.concatenate((mids[mids < 1.0], t[gap > 1e-12]))
+            expected = cdf_of_empirical(build_empirical(moved, 10)).value(t)
+            worst = max(worst, float(np.max(np.abs(rotate_cdf(F, y).value(t) - expected))))
+        assert worst <= 1e-12
+
+
+class TestIdentityEquality:
+    """Array-backed values compare and hash by identity; fields stay frozen."""
+
+    VALUES = {  # a builder of equal values and an array field
+        "PiecewiseCdf": (lambda: cdf_wrapped_exponential(10, 0.2), "bounds"),
+        "DeltaProfile": (lambda: delta_profile(cdf_wrapped_exponential(10, 0.2),
+                                               cdf_of_empirical(build_empirical([0.1, 0.7], 10))),
+                         "offset"),
+        "CircleEmpirical": (lambda: build_empirical([0.1, 0.4, 0.7], 10), "positions"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_eq_hash_and_frozen_fields(self, name):
+        build, field = self.VALUES[name]
+        a, b = build(), build()
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a)
+        assert a in {a, b} and b in {a, b} and len({a, b}) == 2
+        for attr in ("base", field):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, attr, getattr(b, attr))
 
 
 class TestDeltaProfile:
@@ -225,7 +272,7 @@ class TestDeltaProfile:
         for _ in range(20):
             F, G = random_cdf(rng), random_cdf(rng)
             d = delta_profile(F, G)
-            err = np.max(np.abs(d.value(t) - (eval_cdf(F, t) - eval_cdf(G, t))))
+            err = np.max(np.abs(d.value(t) - (F.value(t) - G.value(t))))
             assert err <= 1e-14
 
     def test_incompatible_exponential_bases_rejected(self):
@@ -266,4 +313,4 @@ def test_delta_identity_property(xs, ys):
     G = cdf_of_empirical(build_empirical(ys, 10))
     d = delta_profile(F, G)
     probes = np.linspace(0.0, 1.0, 64, endpoint=False)
-    assert np.max(np.abs(d.value(probes) - (eval_cdf(F, probes) - eval_cdf(G, probes)))) <= 1e-14
+    assert np.max(np.abs(d.value(probes) - (F.value(probes) - G.value(probes)))) <= 1e-14

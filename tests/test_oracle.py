@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,7 +6,6 @@ import numpy as np
 import pytest
 
 from circletransport import (
-    AtomList,
     DeltaProfile,
     build_empirical,
     build_nu,
@@ -13,17 +13,18 @@ from circletransport import (
     cdf_wrapped_exponential,
     closed_form_cdf,
     delta_profile,
-    discrete_w1_circle,
-    discrete_w1_line,
-    equivalence_trials,
-    eval_cdf,
-    grid_minimize_offset,
-    integral_abs,
-    median_offset,
-    quantile_discretize,
     w1_circle,
     w1_line,
 )
+from circletransport.oracle import (
+    AtomList,
+    discrete_w1_circle,
+    discrete_w1_line,
+    equivalence_trials,
+    grid_minimize_offset,
+    quantile_discretize,
+)
+from circletransport.transport import integral_abs, median_offset
 from conftest import random_cdf
 
 
@@ -145,7 +146,7 @@ class TestQuantileDiscretize:
         for F in (cdf_wrapped_exponential(10, 0.37), closed_form_cdf(10, 45)):
             atoms = quantile_discretize(F, 64)
             qs = (np.arange(64) + 0.5) / 64
-            assert np.all(eval_cdf(F, atoms.positions) >= qs - 1e-12)
+            assert np.all(F.value(atoms.positions) >= qs - 1e-12)
 
     def test_discretization_error_bound(self):
         # mass 1/m per quantile cell moves at most half a cell width, and the
@@ -198,6 +199,18 @@ class TestGridMinimize:
     def test_rejects_degenerate_grid(self):
         with pytest.raises(ValueError):
             grid_minimize_offset(half_step_profile(), 1)
+
+
+def test_atom_list_compares_by_identity():
+    a = AtomList(np.array([0.1, 0.5]), np.array([0.25, 0.75]))
+    b = AtomList(np.array([0.1, 0.5]), np.array([0.25, 0.75]))
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a)
+    assert a in {a, b} and b in {a, b} and len({a, b}) == 2
+    for attr in ("positions", "weights"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, attr, getattr(b, attr))
 
 
 class TestEngineOracleEquivalence:

@@ -13,19 +13,21 @@ from circletransport import (
     cdf_wrapped_exponential,
     closed_form_cdf,
     compute_metrics,
-    cut_distance,
     delta_profile,
-    grid_minimize_offset,
-    integral_abs,
-    level_measure,
-    median_offset,
-    reference_rotation,
     rotate_cdf,
     w1_circle,
     w1_line,
 )
 from circletransport import transport
-from circletransport.transport import _LevelProfile
+from circletransport.logseq import reference_rotation
+from circletransport.oracle import grid_minimize_offset
+from circletransport.transport import (
+    _LevelProfile,
+    cut_distance,
+    integral_abs,
+    level_measure,
+    median_offset,
+)
 from conftest import random_cdf, random_step_cdf
 
 LN2 = math.log(2)
