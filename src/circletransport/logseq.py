@@ -50,9 +50,8 @@ class LogSequenceSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"count must be positive, got {self.count}")
-        _check_base(self.base)
         # stored as an int, so a float base such as 10.0 takes the integer path
-        base = int(self.base)
+        base = _check_base(self.base)
         object.__setattr__(self, "base", base)
         digits = digit_count(base, self.count)
         if base ** (digits + 1) > _INT64_MAX:
@@ -67,7 +66,7 @@ def digit_count(base: int, k: int) -> int:
     """Number of base-``b`` digits of ``k``, by integer comparisons only."""
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    _check_base(base)
+    base = _check_base(base)
     d, p = 1, base
     while k >= p:
         p *= base
@@ -77,6 +76,7 @@ def digit_count(base: int, k: int) -> int:
 
 def frac_log(base: int, k: int) -> float:
     """Fractional part of log_b(k), exact 0 at powers of b."""
+    base = _check_base(base)
     d = digit_count(base, k)
     mantissa = k / base ** (d - 1)  # in [1, b), full relative precision
     return math.log(mantissa) / math.log(base)
@@ -154,7 +154,7 @@ def significand_count(base: int, count: int, i: int) -> int:
     floor(i * b**(dd-d)), capped by count; everything is integer arithmetic.
     """
     # Python integers are exact at any size, so the int64 envelope does not apply
-    b, N, n = base, count, digit_count(base, count)
+    b, N, n = _check_base(base), count, digit_count(base, count)
     d = digit_count(b, i)
     total = 0
     for dd in range(1, n + 1):

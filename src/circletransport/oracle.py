@@ -5,7 +5,8 @@ discrete distances come from merged-CDF sums over atom lists, the circle
 variant enumerates cut candidates at every atom (for discrete measures an
 optimal cut can always be placed at an atom, since the CDF difference is
 piecewise constant and every level it takes is attained at an atom), and the
-offset minimizer is cross-checked on a plain value grid.
+offset minimizer is cross-checked on a plain value grid and by cutting the
+circle open at a given point (``cut_distance``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DeltaProfile, PiecewiseCdf, build_empirical, cdf_of_empirical
+from .measures import (DeltaProfile, PiecewiseCdf, build_empirical, cdf_of_empirical,
+                       delta_profile)
 from .transport import integral_abs, w1_circle, w1_line
 
 __all__ = [
@@ -24,6 +26,7 @@ __all__ = [
     "discrete_w1_circle",
     "quantile_discretize",
     "grid_minimize_offset",
+    "cut_distance",
     "equivalence_trials",
 ]
 
@@ -166,6 +169,21 @@ def grid_minimize_offset(profile: DeltaProfile, grid_points: int) -> tuple[float
         if val < best_val:
             best_c, best_val = float(c), val
     return best_c, best_val
+
+
+def cut_distance(F: PiecewiseCdf, G: PiecewiseCdf, s: float, variant: str = "D") -> float:
+    """Line distance after cutting the circle open at ``s``.
+
+    Variant ``"D"`` subtracts the right value ``delta(s)``; variant ``"I"``
+    subtracts the left limit ``delta(s-)`` (which wraps to 0 at s = 0).
+    """
+    if not 0.0 <= s < 1.0:
+        raise ValueError(f"cut point must lie in [0, 1), got {s}")
+    if variant not in ("D", "I"):
+        raise ValueError(f"variant must be 'D' or 'I', got {variant!r}")
+    profile = delta_profile(F, G)
+    side = "right" if variant == "D" else "left"
+    return integral_abs(profile, profile.value(s, side))
 
 
 def equivalence_trials(trials: int, max_atoms: int, seed: int) -> tuple[float, float]:

@@ -9,7 +9,8 @@ Rabin, Delon & Gousseau 2011).  The integral is computed in closed form per
 piece (roots of ``a * b**t + d = c`` come from a single logarithm), which
 keeps every distance exact up to rounding for piece counts into the millions.
 
-The median is found by a bracketed Newton search on the level function
+Every median attains the same distance, so a circle row takes the lowest,
+found by a bracketed Newton search on the level function
 ``L(c) = measure{delta <= c}``.  L is non-decreasing, and every exponential
 piece whose value range straddles c adds ``1 / (|c - d| ln b)`` to its slope,
 so one pass over the pieces gives both ``L(c)`` and ``L'(c)``.  Newton steps
@@ -48,23 +49,19 @@ __all__ = [
     "w1_line",
     "w1_circle",
     "w1_circle_profile",
-    "cut_distance",
 ]
 
 
 @dataclass(frozen=True)
 class TransportResult:
-    """Distance value with the attaining offset/cut diagnostics.
+    """Distance value with the offset that attains it.
 
-    ``offset`` is the offset actually used (the lower end of the minimizing
-    interval on the circle, 0 on the line); ``cut_point`` is a location s
-    with ``delta(s)`` or ``delta(s-)`` equal to the offset when one exists.
+    ``offset`` is the constant subtracted from ``F - G``: the lowest
+    minimizer on the circle, 0 on the line.
     """
 
     distance: float
     offset: float
-    offset_interval: tuple[float, float]
-    cut_point: float | None
 
 
 def integral_abs(profile: DeltaProfile, c: float) -> float:
@@ -123,9 +120,9 @@ class _LevelProfile(DeltaProfile):
     hi)`` keeps only the pieces whose value range meets ``[lo, hi]``; for a
     level in that bracket every other piece lies wholly below it (full
     width) or wholly above it (nothing), so its entry in the buffer is
-    written once.  ``level_measure`` and ``median_offset`` take it like any
-    other profile.  Each search builds its own, so no two threads share the
-    buffers.
+    written once.  ``level_measure`` takes it like any other profile.  Each
+    ``median_offset`` search builds its own, so no two searches or threads
+    share the buffers.
     """
 
     def __init__(self, profile: DeltaProfile):
@@ -138,15 +135,12 @@ class _LevelProfile(DeltaProfile):
         self.widths = np.empty_like(self.offset)
         self._activate(slice(None), -math.inf, math.inf)
 
-    @classmethod
-    def of(cls, profile: DeltaProfile) -> _LevelProfile:
-        return profile if isinstance(profile, cls) else cls(profile)
-
     def narrow(self, lo: float, hi: float) -> None:
         """Evaluate only the pieces whose value range meets ``[lo, hi]``.
 
         Afterwards ``level_measure`` accepts levels in ``[lo, hi]`` only.
-        The bracket may be any one, so a new search can widen it again.
+        A search narrows once, from every piece active, and never widens
+        the bracket again.
         """
         for name in ("a_offset", "a_coef", "a_lo", "a_hi", "v_min", "v_max",
                      "width", "edge", "diff", "w"):
@@ -175,14 +169,14 @@ class _LevelProfile(DeltaProfile):
         self.w = self.widths if isinstance(index, slice) else np.empty_like(self.width)
 
 
-def level_measure(profile: DeltaProfile, c: float, with_slope: bool = False):
-    """Lebesgue measure ``L(c)`` of the sublevel set {t in [0,1) : delta(t) <= c}.
+def level_measure(profile: DeltaProfile, c: float) -> tuple[float, float]:
+    """``(L(c), L'(c))``: the Lebesgue measure of the sublevel set
+    {t in [0,1) : delta(t) <= c} and its slope, from one pass.
 
     A piece whose values all lie at or below ``c`` counts in full and one
     whose values all lie at or above it counts nothing.  A piece whose value
     range straddles ``c`` counts up to its root ``log_b((c - d) / a)``, clipped
     into the piece, and adds ``1 / (|c - d| ln b)`` to the slope ``L'(c)``.
-    With ``with_slope`` the result is ``(L(c), L'(c))`` from the same pass.
 
     On a narrowed search profile (see ``_LevelProfile.narrow``) the pass
     evaluates only the active pieces, scatters their widths into the
@@ -190,9 +184,9 @@ def level_measure(profile: DeltaProfile, c: float, with_slope: bool = False):
     the same bits as a pass over every piece; a level outside the bracket
     raises ``ValueError``.  The slope is summed over the active pieces alone,
     so its last bits may differ from a full pass; the search's result does
-    not depend on them (see ``median_offset``).
+    not depend on them (see the module docstring).
     """
-    p = _LevelProfile.of(profile)
+    p = profile if isinstance(profile, _LevelProfile) else _LevelProfile(profile)
     lo, hi = p.bracket
     if not lo <= c <= hi:
         raise ValueError(f"level {c!r} lies outside the bracket [{lo!r}, {hi!r}] "
@@ -214,8 +208,6 @@ def level_measure(profile: DeltaProfile, c: float, with_slope: bool = False):
     np.copyto(w, p.width, where=full)
     p.widths[p.index] = w
     level = min(1.0, max(0.0, compensated_sum(p.widths)))
-    if not with_slope:
-        return level
     return level, float(np.sum(diff, where=straddle)) / p.log_b
 
 
@@ -232,48 +224,51 @@ def _midpoint(lo: float, hi: float) -> float:
     return x if k >= 0 else -x
 
 
-def _bracketed_newton(level: _LevelProfile, lo: float, hi: float, c: float,
-                      strict: bool) -> tuple[float, float, float]:
-    """Shrink ``(lo, hi]`` to adjacent floats around where the level crosses 1/2.
+def median_offset(profile: DeltaProfile) -> float:
+    """Least minimizer of ``c -> integral |delta - c|``.
 
-    Each probe is one ``level_measure(level, c, True)`` pass, which gives
-    the level ``L(c)`` and its slope; ``strict`` subtracts the atom
-    ``measure{delta == c}``.  A probe is *above* when its level is ``>= 1/2``
-    (``> 1/2`` when ``strict``); the invariant is that ``lo`` is not above
-    and ``hi`` is.  ``hi`` must start at or above every value of the
-    profile, where the level is 1.  Returns ``(lo, hi, level at hi)``.
+    Returns ``c_lo = min{c : measure{delta <= c} >= 1/2}`` to the last bit
+    of the computed level function.  Every offset in the median set attains
+    the same distance, so its lower end is all a circle row needs.
 
-    Each probe is the Newton step from the previous one when it lands inside
-    the bracket, and the midpoint by rank otherwise (always, where the slope
-    is 0).  Every probe lies strictly inside the bracket, so the search
-    ends.  The computed level is a staircase at the scale of rounding, so
-    near 1/2 Newton stalls on one side: each further probe on the same side
-    doubles the step, and a level of exactly 1/2 steps by one ulp, so the
-    other side is found in a few probes instead of by halving from afar.
+    The search keeps a bracket ``(lo, hi]`` with the level below 1/2 at
+    ``lo`` and at least 1/2 at ``hi``.  It starts just below the lowest
+    value of ``delta`` and at the highest, where the level is 1, with the
+    first probe at the mean of ``delta``, and ends at adjacent floats, where
+    ``c_lo = hi``.  Each probe is one ``level_measure`` pass that returns
+    ``L(c)`` and its slope ``L'(c) = sum 1 / (|c - d_i| ln b)`` over the
+    exponential pieces whose value range straddles ``c``.  The next probe
+    is the Newton step when it lands inside the bracket, and the midpoint
+    by rank otherwise (always, where the slope is 0).  Every probe lies
+    inside the open bracket, so the search ends.  The computed level is
+    a staircase at the scale of rounding, so near 1/2 Newton stalls on one
+    side: each further probe on the same side doubles the step, and a level
+    of exactly 1/2 steps by one ulp, so the other side is found in a few
+    probes instead of by halving from afar.  A constant profile starts at
+    adjacent floats, so it returns its one value without a probe.
 
     A profile of ``_NARROW_MIN_PIECES`` or more is narrowed to the bracket
-    once probes have landed on both sides; every later probe lies inside
-    it.  The strict search first narrows to its starting bracket, since the
-    first search left the profile narrowed below it.
+    once probes have landed on both sides; the module docstring says why
+    the result keeps its bits.
     """
+    level = _LevelProfile(profile)
+    v_lo, v_hi = level.v_lo, level.v_hi
+    lo = math.nextafter(float(min(v_lo.min(), v_hi.min())), -math.inf)
+    hi = float(max(v_lo.max(), v_hi.max()))
+    # integral of a*b**t + d over a piece is (v_hi - v_lo) / ln b + d * width
+    c = (float(np.sum(v_hi - v_lo)) / level.log_b
+         + float(np.dot(level.offset, np.diff(level.bounds))))
     narrow = level.piece_count >= _NARROW_MIN_PIECES
-    if narrow and strict:
-        level.narrow(lo, hi)
-    level_hi = 1.0  # the level at and above every value of the profile
     stretch = 1.0
     was_above = None
     while math.nextafter(lo, hi) < hi:
         if not lo < c < hi:
             c = _midpoint(lo, hi)
         # looked up on the module at each probe; the benchmark counts these calls
-        level_c, slope = level_measure(level, c, True)
-        if strict:
-            # constant pieces at c are active: their value range is {c}, inside the bracket
-            at_c = (level.a_coef == 0.0) & (level.a_offset == c)
-            level_c -= float(np.sum(level.width[at_c]))
-        above = level_c > 0.5 if strict else level_c >= 0.5
+        level_c, slope = level_measure(level, c)
+        above = level_c >= 0.5
         if above:
-            hi, level_hi = c, level_c
+            hi = c
         else:
             lo = c
         if narrow and was_above is not None and above != was_above:
@@ -288,77 +283,7 @@ def _bracketed_newton(level: _LevelProfile, lo: float, hi: float, c: float,
             c += stretch * step
         else:
             c = math.nan
-    return lo, hi, level_hi
-
-
-def median_offset(profile: DeltaProfile) -> tuple[float, float]:
-    """Full interval of minimizers of ``c -> integral |delta - c|``.
-
-    Returns ``(c_lo, c_hi)`` with ``c_lo = min{c : measure{delta <= c} >= 1/2}``
-    and ``c_hi = max{c : measure{delta < c} <= 1/2}``, both to the last bit
-    of the computed level function.
-
-    ``c_lo`` comes from a bracketed Newton search on the level function
-    ``L(c)``, started at the mean of ``delta``.  Each probe is one
-    ``level_measure`` pass that returns ``L(c)`` and its slope
-    ``L'(c) = sum 1 / (|c - d_i| ln b)`` over the exponential pieces whose
-    value range straddles ``c``.  If ``L(c_lo) > 1/2`` the interval is the
-    single point ``c_lo``; otherwise the same search on the strict level
-    ``L(c) - measure{delta == c}`` finds ``c_hi``.  A constant profile
-    starts the search at adjacent floats, so it returns its one value
-    without a probe.
-
-    Once a search has probed both sides of 1/2 it narrows its profile to
-    the bracket, so later passes evaluate only the pieces whose value range
-    meets it.  The computed level is non-decreasing in ``c`` (every
-    operation of the pass rounds monotonically), so the search ends at the
-    same adjacent floats whatever path its probes take: the result depends
-    on the bits of ``L`` alone, which narrowing keeps, and not on those of
-    the slope, which it does not.
-    """
-    level = _LevelProfile.of(profile)
-    v_lo, v_hi = level.v_lo, level.v_hi
-    lowest = float(min(v_lo.min(), v_hi.min()))
-    highest = float(max(v_lo.max(), v_hi.max()))
-    # integral of a*b**t + d over a piece is (v_hi - v_lo) / ln b + d * width
-    mean = (float(np.sum(v_hi - v_lo)) / level.log_b
-            + float(np.dot(level.offset, np.diff(level.bounds))))
-    _, c_lo, level_c_lo = _bracketed_newton(
-        level, math.nextafter(lowest, -math.inf), highest, mean, strict=False)
-    if level_c_lo > 0.5:
-        return c_lo, c_lo
-    c_hi, _, _ = _bracketed_newton(level, c_lo, math.nextafter(highest, math.inf),
-                                   math.nextafter(c_lo, math.inf), strict=True)
-    return c_lo, c_hi
-
-
-def _find_cut_point(profile: _LevelProfile, c: float) -> float | None:
-    """Smallest s where the profile attains c as a value or left limit."""
-    lo, hi, a, d = profile.bounds[:-1], profile.bounds[1:], profile.coef, profile.offset
-    v_lo, v_hi = profile.v_lo, profile.v_hi
-    tol = 1e-12 * max(1.0, abs(c))
-
-    candidates: list[float] = []
-    start_hits = np.nonzero(np.abs(v_lo - c) <= tol)[0]
-    if start_hits.size:
-        candidates.append(float(lo[start_hits[0]]))
-    end_hits = np.nonzero(np.abs(v_hi - c) <= tol)[0]
-    if end_hits.size:
-        # left limit at the right end of the piece; s = hi (wraps to 0 at 1)
-        s = float(hi[end_hits[0]])
-        candidates.append(0.0 if s >= 1.0 else s)
-    crossing = ((np.minimum(v_lo, v_hi) - tol <= c) & (c <= np.maximum(v_lo, v_hi) + tol)
-                & (a != 0.0))
-    cross_idx = np.nonzero(crossing)[0]
-    if cross_idx.size:
-        i = cross_idx[0]
-        ratio = (c - d[i]) / a[i]
-        if ratio > 0.0:
-            root = math.log(ratio) / math.log(profile.base)
-            candidates.append(min(max(root, float(lo[i])), float(hi[i])))
-    if not candidates:
-        return None
-    return min(candidates)
+    return hi
 
 
 def w1_circle_profile(profile: DeltaProfile) -> TransportResult:
@@ -366,27 +291,13 @@ def w1_circle_profile(profile: DeltaProfile) -> TransportResult:
 
     The same as ``w1_circle`` for callers that already hold the profile.
     """
-    level = _LevelProfile(profile)
-    c_lo, c_hi = median_offset(level)
-    cut_point = _find_cut_point(level, c_lo)
-    del level  # not held during integral_abs, whose temporaries set the peak
-    return TransportResult(
-        distance=integral_abs(profile, c_lo),
-        offset=c_lo,
-        offset_interval=(c_lo, c_hi),
-        cut_point=cut_point,
-    )
+    c = median_offset(profile)
+    return TransportResult(integral_abs(profile, c), c)
 
 
 def w1_line(F: PiecewiseCdf, G: PiecewiseCdf) -> TransportResult:
     """Kantorovich distance on [0, 1]: the L1 norm of the CDF difference."""
-    profile = delta_profile(F, G)
-    return TransportResult(
-        distance=integral_abs(profile, 0.0),
-        offset=0.0,
-        offset_interval=(0.0, 0.0),
-        cut_point=None,
-    )
+    return TransportResult(integral_abs(delta_profile(F, G), 0.0), 0.0)
 
 
 def w1_circle(F: PiecewiseCdf, G: PiecewiseCdf) -> TransportResult:
@@ -398,17 +309,3 @@ def w1_circle(F: PiecewiseCdf, G: PiecewiseCdf) -> TransportResult:
     """
     return w1_circle_profile(delta_profile(F, G))
 
-
-def cut_distance(F: PiecewiseCdf, G: PiecewiseCdf, s: float, variant: str = "D") -> float:
-    """Line distance after cutting the circle open at ``s``.
-
-    Variant ``"D"`` subtracts the right value ``delta(s)``; variant ``"I"``
-    subtracts the left limit ``delta(s-)`` (which wraps to 0 at s = 0).
-    """
-    if not 0.0 <= s < 1.0:
-        raise ValueError(f"cut point must lie in [0, 1), got {s}")
-    if variant not in ("D", "I"):
-        raise ValueError(f"variant must be 'D' or 'I', got {variant!r}")
-    profile = delta_profile(F, G)
-    side = "right" if variant == "D" else "left"
-    return integral_abs(profile, profile.value(s, side))

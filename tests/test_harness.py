@@ -1,5 +1,6 @@
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ class TestSweep:
     def test_csv_format(self, tmp_path):
         out = str(tmp_path / "fmt.csv")
         run_sweep(SweepConfig(**self.CFG, out=out))
-        raw = open(out, "rb").read()
+        raw = Path(out).read_bytes()
         assert b"\r" not in raw
         header = raw.decode().splitlines()[0]
         assert header == ("base,N,n,d_line,d_circle,offset_c,scaled_line,"
@@ -132,7 +133,7 @@ class TestSweep:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         run_sweep(SweepConfig(**self.CFG, out=a))
         run_sweep(SweepConfig(**self.CFG, out=b))
-        strip = lambda p: [line.rsplit(",", 1)[0] for line in open(p).read().splitlines()]
+        strip = lambda p: [line.rsplit(",", 1)[0] for line in Path(p).read_text().splitlines()]
         assert strip(a) == strip(b)
 
     def test_parallel_matches_serial(self):

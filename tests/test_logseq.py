@@ -192,3 +192,14 @@ class TestLogSequenceSpec:
             LogSequenceSpec(10, 0)
         with pytest.raises(ValueError):
             LogSequenceSpec(1, 10)
+
+
+@pytest.mark.parametrize("func,args", [
+    (frac_log, (3 ** 34,)),
+    (reference_rotation, (3 ** 34,)),
+    (digit_count, (3 ** 41,)),
+    (significand_count, (3 ** 40, 3 ** 39 + 5)),
+], ids=["frac_log", "reference_rotation", "digit_count", "significand_count"])
+def test_float_base_gives_the_int_base_value(func, args):
+    """Past 2**53 a float base would round its powers; 3.0 computes as 3."""
+    assert repr(func(3.0, *args)) == repr(func(3, *args))

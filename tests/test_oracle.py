@@ -189,7 +189,7 @@ class TestGridMinimize:
             v = np.concatenate((
                 prof.coef * np.power(b, prof.bounds[:-1]) + prof.offset,
                 prof.coef * np.power(b, prof.bounds[1:]) + prof.offset))
-            c_lo, _ = median_offset(prof)
+            c_lo = median_offset(prof)
             exact = integral_abs(prof, c_lo)
             grid_points = 101
             _, val = grid_minimize_offset(prof, grid_points)

@@ -20,10 +20,9 @@ from circletransport import (
 )
 from circletransport import transport
 from circletransport.logseq import reference_rotation
-from circletransport.oracle import grid_minimize_offset
+from circletransport.oracle import cut_distance, grid_minimize_offset
 from circletransport.transport import (
     _LevelProfile,
-    cut_distance,
     integral_abs,
     level_measure,
     median_offset,
@@ -74,13 +73,13 @@ class TestIntegralAbs:
 
 class TestLevelMeasure:
     def test_everything_below_one(self):
-        assert level_measure(atom_exp_profile(), 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert level_measure(atom_exp_profile(), 1.0)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_nothing_at_or_below_zero(self):
-        assert level_measure(atom_exp_profile(), 0.0) == 0.0
+        assert level_measure(atom_exp_profile(), 0.0)[0] == 0.0
 
     def test_median_level(self):
-        assert level_measure(atom_exp_profile(), MEDIAN_C) == pytest.approx(0.5, abs=1e-15)
+        assert level_measure(atom_exp_profile(), MEDIAN_C)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_monotone_with_extremes(self, rng):
         for _ in range(20):
@@ -89,24 +88,23 @@ class TestLevelMeasure:
             v_lo = prof.coef * np.power(b, prof.bounds[:-1]) + prof.offset
             v_hi = prof.coef * np.power(b, prof.bounds[1:]) + prof.offset
             vals = np.unique(np.concatenate((v_lo, v_hi)))
-            levels = [level_measure(prof, float(c)) for c in vals]
+            levels = [level_measure(prof, float(c))[0] for c in vals]
             assert all(b2 >= b1 - 1e-15 for b1, b2 in zip(levels, levels[1:]))
             assert levels[-1] == pytest.approx(1.0, abs=1e-12)
-            assert level_measure(prof, float(vals[0]) - 1e-6) == 0.0
+            assert level_measure(prof, float(vals[0]) - 1e-6)[0] == 0.0
 
 
 class TestMedianOffset:
     def test_zero_profile(self):
-        assert median_offset(zero_profile()) == (0.0, 0.0)
+        assert median_offset(zero_profile()) == 0.0
 
     def test_unique_median(self):
-        c_lo, c_hi = median_offset(atom_exp_profile())
+        c_lo = median_offset(atom_exp_profile())
         assert c_lo == pytest.approx(MEDIAN_C, abs=1e-14)
-        assert c_hi == pytest.approx(MEDIAN_C, abs=1e-14)
 
     def test_flat_median_stretch(self):
-        c_lo, c_hi = median_offset(half_step_profile())
-        assert (c_lo, c_hi) == (0.0, 1.0)
+        c_lo = median_offset(half_step_profile())
+        assert c_lo == 0.0
 
     def test_every_offset_in_interval_ties(self):
         prof = half_step_profile()
@@ -121,20 +119,14 @@ class TestMedianOffset:
             v_lo = prof.coef * np.power(b, prof.bounds[:-1]) + prof.offset
             v_hi = prof.coef * np.power(b, prof.bounds[1:]) + prof.offset
             lo, hi = np.minimum(v_lo, v_hi), np.maximum(v_lo, v_hi)
-            for c in median_offset(prof):
-                assert np.any((lo - 1e-12 <= c) & (c <= hi + 1e-12))
+            c = median_offset(prof)
+            assert np.any((lo - 1e-12 <= c) & (c <= hi + 1e-12))
 
 
 def nu_profile(base, N):
     """The profile of a metrics row: nu_N against its rotated exponential."""
     G = cdf_wrapped_exponential(base, reference_rotation(base, N))
     return delta_profile(closed_form_cdf(base, N), G)
-
-
-def strict_level(prof, c):
-    """measure{delta < c}: the level minus the constant pieces sitting at c."""
-    at_c = (prof.coef == 0.0) & (prof.offset == c)
-    return level_measure(prof, c) - float(np.sum(np.diff(prof.bounds)[at_c]))
 
 
 def piece_values(prof):
@@ -145,20 +137,12 @@ def piece_values(prof):
 
 
 def assert_median_interval(prof):
-    """c_lo is the least float where the level reaches 1/2, c_hi the greatest
-    where the strict level stays at or below it, both to the last bit."""
+    """c_lo is the least float where the level reaches 1/2, to the last bit."""
     values = piece_values(prof)
-    c_lo, c_hi = median_offset(prof)
-    assert c_lo <= c_hi
-    assert level_measure(prof, c_lo) >= 0.5
+    c_lo = median_offset(prof)
+    assert level_measure(prof, c_lo)[0] >= 0.5
     if c_lo != values.min():
-        assert level_measure(prof, math.nextafter(c_lo, -math.inf)) < 0.5
-    if level_measure(prof, c_lo) > 0.5:
-        assert c_hi == c_lo
-    else:
-        assert strict_level(prof, c_hi) <= 0.5
-        if c_hi != values.max():
-            assert strict_level(prof, math.nextafter(c_hi, math.inf)) > 0.5
+        assert level_measure(prof, math.nextafter(c_lo, -math.inf))[0] < 0.5
 
 
 class TestMedianSearch:
@@ -181,9 +165,9 @@ class TestMedianSearch:
             # the middle of the widest gap between piece values: L is smooth there
             k = int(np.argmax(np.diff(values)))
             c, h = (values[k] + values[k + 1]) / 2, (values[k + 1] - values[k]) / 8
-            level, slope = level_measure(prof, c, with_slope=True)
-            assert level == level_measure(prof, c)
-            quotient = (level_measure(prof, c + h) - level_measure(prof, c - h)) / (2 * h)
+            level, slope = level_measure(prof, c)
+            assert level == level_measure(prof, c)[0]
+            quotient = (level_measure(prof, c + h)[0] - level_measure(prof, c - h)[0]) / (2 * h)
             assert slope == pytest.approx(quotient, rel=1e-2, abs=1e-9)
 
     @pytest.mark.parametrize("base,d_circle,offset_c", [
@@ -214,7 +198,7 @@ def narrowed(prof, lo, hi):
 
 def brackets(prof, rng):
     """A tight bracket around the median offset and one between two piece values."""
-    c_lo, _ = median_offset(prof)
+    c_lo = median_offset(prof)
     values = np.unique(piece_values(prof))
     spread = 1e-3 * (values[-1] - values[0])
     i, j = sorted(rng.choice(values.size, size=2, replace=False))
@@ -230,8 +214,8 @@ class TestNarrowedLevel:
     def assert_same_bits(self, prof, lo, hi):
         level = narrowed(prof, lo, hi)
         for c in bracket_probes(prof, lo, hi):
-            got, slope = level_measure(level, c, with_slope=True)
-            want, full_slope = level_measure(prof, c, with_slope=True)
+            got, slope = level_measure(level, c)
+            want, full_slope = level_measure(prof, c)
             assert got.hex() == want.hex(), c
             assert slope == pytest.approx(full_slope, rel=1e-10, abs=0.0)
 
@@ -262,13 +246,13 @@ class TestNarrowedLevel:
     @pytest.mark.parametrize("base,N", NARROW_ROWS)
     def test_level_is_monotone_around_the_median(self, base, N):
         prof = nu_profile(base, N)
-        c_lo, _ = median_offset(prof)
+        c_lo = median_offset(prof)
         cs = [c_lo]
         for _ in range(300):
             cs.insert(0, math.nextafter(cs[0], -math.inf))
             cs.append(math.nextafter(cs[-1], math.inf))
         level = narrowed(prof, cs[0], cs[-1])
-        levels = [level_measure(level, c) for c in cs]
+        levels = [level_measure(level, c)[0] for c in cs]
         assert all(a <= b for a, b in zip(levels, levels[1:]))
         assert levels[299] < 0.5 <= levels[300]
 
@@ -283,14 +267,15 @@ class TestNarrowedLevel:
         assert len(calls) == 1
 
     def test_flat_median_stretch_over_many_pieces(self, rng):
-        """The strict search for c_hi widens the narrowed profile again."""
+        """A median stretch wider than one piece, found on a narrowed profile:
+        the search ends at its lower end."""
         pieces = 2 * transport._NARROW_MIN_PIECES
         low, high = -rng.random(pieces // 2), 1.0 + rng.random(pieces // 2)
         # dyadic widths: every sublevel measure is exact, so L is 1/2 on [max low, min high)
         prof = DeltaProfile(base=2, bounds=np.arange(pieces + 1) / pieces,
                             coef=np.zeros(pieces),
                             offset=rng.permutation(np.concatenate((low, high))))
-        assert median_offset(prof) == (low.max(), high.min())
+        assert median_offset(prof) == low.max()
         assert_median_interval(prof)
 
 
@@ -304,7 +289,7 @@ class TestNarrowedLevel:
 def test_rows_keep_their_bits(base, N, d_line, d_circle, offset_c):
     """Rows to the last bit, as recorded before the level passes were narrowed
     and the integrals restricted to the split pieces; (2, 13) has a flat
-    median stretch, so its search also runs for c_hi."""
+    median stretch, whose lower end is its offset."""
     row = compute_metrics(base, N)
     assert (row.d_line.hex(), row.d_circle.hex(), row.offset_c.hex()) == (d_line, d_circle, offset_c)
 
@@ -324,7 +309,7 @@ class TestW1Line:
         G = cdf_wrapped_exponential(2, 0.0)
         res = w1_line(F, G)
         assert res.distance == pytest.approx(LINE_VALUE, abs=1e-15)
-        assert res.offset == 0.0 and res.offset_interval == (0.0, 0.0)
+        assert res.offset == 0.0
 
 
 class TestW1Circle:
@@ -343,7 +328,6 @@ class TestW1Circle:
         res = w1_circle(F, G)
         assert res.distance == pytest.approx(CIRCLE_VALUE, abs=1e-12)
         assert res.offset == pytest.approx(MEDIAN_C, abs=1e-12)
-        assert res.cut_point == pytest.approx(0.5, abs=1e-12)
 
     def test_against_grid_oracle(self):
         F = cdf_of_empirical(build_nu(2, 2))
@@ -402,6 +386,17 @@ def min_over_cut_candidates(F, G, c_star):
     return min(cut_distance(F, G, s, v) for s in cuts for v in ("D", "I"))
 
 
+@pytest.mark.parametrize("base,N", [(2, 13), (3, 300), (7, 566), (10, 1000)])
+def test_rows_match_the_cut_formulation(base, N):
+    """Cutting the circle open where a row's profile meets offset_c gives
+    d_circle; (2, 13) has a flat median stretch."""
+    row = compute_metrics(base, N)
+    F = closed_form_cdf(base, N)
+    G = cdf_wrapped_exponential(base, reference_rotation(base, N))
+    assert min_over_cut_candidates(F, G, row.offset_c) == pytest.approx(
+        row.d_circle, rel=1e-12, abs=0.0)
+
+
 class TestInvariants:
     def test_offset_convexity(self, rng):
         for _ in range(5):
@@ -419,12 +414,10 @@ class TestInvariants:
     def test_optimality_of_median(self, rng):
         for _ in range(10):
             prof = delta_profile(random_cdf(rng), random_cdf(rng))
-            c_lo, c_hi = median_offset(prof)
+            c_lo = median_offset(prof)
             best = integral_abs(prof, c_lo)
             for c in rng.uniform(-1.0, 1.0, 100):
                 assert integral_abs(prof, float(c)) >= best - 1e-12
-            for c in np.linspace(c_lo, c_hi, 7):
-                assert integral_abs(prof, float(c)) == pytest.approx(best, abs=1e-12)
 
     def test_cut_formulation_matches_offset_formulation(self, rng):
         for _ in range(20):
@@ -482,7 +475,7 @@ class TestInvariants:
 def test_median_beats_all_candidate_offsets(xs, ys):
     prof = delta_profile(cdf_of_empirical(build_empirical(xs, 2)),
                          cdf_of_empirical(build_empirical(ys, 2)))
-    c_lo, _ = median_offset(prof)
+    c_lo = median_offset(prof)
     best = integral_abs(prof, c_lo)
     for c in np.unique(prof.offset):
         assert best <= integral_abs(prof, float(c)) + 1e-12
