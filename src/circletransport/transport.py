@@ -11,11 +11,16 @@ keeps every distance exact up to rounding for piece counts into the millions.
 
 Every median attains the same distance, so a circle row takes the lowest,
 found by a bracketed Newton search on the level function
-``L(c) = measure{delta <= c}``.  L is non-decreasing, and every exponential
-piece whose value range straddles c adds ``1 / (|c - d| ln b)`` to its slope,
-so one pass over the pieces gives both ``L(c)`` and ``L'(c)``.  Newton steps
-come within a few rounding steps of 1/2 in two or three passes; the rest of
-the search narrows the bracket to adjacent floats.
+``L(c) = measure{delta <= c}``.  Every exponential piece whose value range
+straddles c adds ``1 / (|c - d| ln b)`` to the slope, so one pass over the
+pieces gives both ``L(c)`` and ``L'(c)``.  Newton steps come within a few
+rounding steps of 1/2 in two or three passes.  There the computed level is
+a staircase: a pass sees c only through the masks ``v_max <= c`` and
+``v_min < c`` and through ``fl(c - d)``, which changes only where ``c - d``
+crosses a rounding tie.  So the search lists the few floats of its bracket
+where the level can change and ends by bisecting over that list.  While the
+list would be long (a wide bracket, or an offset d so near the bracket that
+its rounding grid is too fine) the Newton steps and rank bisection go on.
 
 Once a search has probed both sides of 1/2, only the pieces whose value
 range meets its bracket can change how they count, so the search narrows
@@ -25,9 +30,14 @@ width below the level (full or none) is written once into a full-length
 buffer.  Each later pass evaluates the narrowed pieces, scatters them into
 that buffer and sums all of it in the same order, so ``L(c)`` keeps its
 bits.  The slope is summed over the narrowed pieces alone and may change in
-its last bits, which is free: every operation of the pass rounds
-monotonically, so the computed ``L`` is non-decreasing and the search ends
-at the same adjacent floats whichever probes the slope picks.
+its last bits.
+
+The search assumes that the computed ``L`` is non-decreasing in c.  Then
+the least float where it reaches 1/2 is one float, found whichever probes
+the slope picks and whether or not the list of steps ends the search.
+Rounding does not guarantee it: numpy's SIMD ``np.log`` is faithfully
+rounded, not correctly rounded.  ``test_level_is_monotone_around_the_median``
+checks it float by float around the median of four metrics rows.
 """
 
 from __future__ import annotations
@@ -109,20 +119,29 @@ def integral_abs(profile: DeltaProfile, c: float) -> float:
 # searches broke even at about 2,500 pieces and gained 7% at 5,400.
 _NARROW_MIN_PIECES = 4096
 
+# The offset search ends by bisecting over the steps of the level function
+# once its bracket holds at most this many (see ``_LevelProfile.steps``).
+# Over the 847 benchmark reference rows with N <= 2*10^5 the searches took
+# 6,422 level passes in all with 16, 6,473 with 64, 6,613 with 256 and
+# 7,129 with 4,096 (8,430 without the list); rows at N = 10^5 and 10^6
+# took the same passes with any size from 16 to 256.
+_STEPS_MAX = 64
+
 
 class _LevelProfile(DeltaProfile):
     """A profile with what every level pass reuses, built once per search.
 
-    It adds the pieces' endpoint values and a full-length buffer of the
-    pieces' widths below the level, and it keeps the *active* pieces: those
-    a level pass evaluates, with their value ranges, widths, measure edges
-    and two scratch buffers.  At first every piece is active.  ``narrow(lo,
-    hi)`` keeps only the pieces whose value range meets ``[lo, hi]``; for a
-    level in that bracket every other piece lies wholly below it (full
-    width) or wholly above it (nothing), so its entry in the buffer is
-    written once.  ``level_measure`` takes it like any other profile.  Each
-    ``median_offset`` search builds its own, so no two searches or threads
-    share the buffers.
+    It adds the pieces' value ranges, the mean of ``delta`` and a
+    full-length buffer of the pieces' widths below the level, and it keeps
+    the *active* pieces: those a level pass evaluates, with their value
+    ranges, widths, measure edges and two scratch buffers.  At first every
+    piece is active.  ``narrow(lo, hi)`` keeps only the pieces whose value
+    range meets ``[lo, hi]``; for a level in that bracket every other piece
+    lies wholly below it (full width) or wholly above it (nothing), so its
+    entry in the buffer is written once.  ``steps(lo, hi)`` lists where the
+    level can change inside a bracket.  ``level_measure`` takes it like any
+    other profile.  Each ``median_offset`` search builds its own, so no two
+    searches or threads share the buffers.
     """
 
     def __init__(self, profile: DeltaProfile):
@@ -131,42 +150,101 @@ class _LevelProfile(DeltaProfile):
             object.__setattr__(self, name, getattr(profile, name))
         # a subclass of a frozen dataclass may set attributes other than its fields
         self.log_b = math.log(self.base)
-        self.v_lo, self.v_hi = profile._piece_values()
-        self.widths = np.empty_like(self.offset)
-        self._activate(slice(None), -math.inf, math.inf)
+        self.bracket = (-math.inf, math.inf)
+        self.index = slice(None)
+        self.a_offset, self.a_coef = self.offset, self.coef
+        self.a_lo, self.a_hi = self.bounds[:-1], self.bounds[1:]
+        v_lo, v_hi = profile._piece_values()
+        self.v_min = np.minimum(v_lo, v_hi)
+        self.v_max = np.maximum(v_lo, v_hi)
+        self.width = self.a_hi - self.a_lo
+        # measure below c: root - lo on rising pieces, hi - root on falling ones
+        self.edge = np.where(self.a_coef > 0.0, self.a_lo, self.a_hi)
+        # the mean of delta, the search's first probe: a*b**t + d integrates
+        # over a piece to (v_hi - v_lo) / ln b + d * width; the pass's
+        # scratch buffer holds the rises until then
+        self.diff = np.subtract(v_hi, v_lo)
+        self.mean = (float(np.sum(self.diff)) / self.log_b
+                     + float(np.dot(self.offset, self.width)))
+        del v_lo, v_hi  # freed before the last buffer is made
+        # with every piece active the pass writes the buffer in place
+        self.widths = self.w = np.empty_like(self.width)
 
     def narrow(self, lo: float, hi: float) -> None:
         """Evaluate only the pieces whose value range meets ``[lo, hi]``.
 
         Afterwards ``level_measure`` accepts levels in ``[lo, hi]`` only.
         A search narrows once, from every piece active, and never widens
-        the bracket again.
+        the bracket again.  Each full-length array is freed as soon as its
+        narrowed copy is made, so the allocator hands its memory to the
+        next copy.  Freeing them all first let the heap shrink and fault
+        the memory back in: at base 10, N = 10^6 that took 7,055 page
+        faults and 36-42 ms a narrowing, against 1,741 and 16-22 ms now.
         """
-        for name in ("a_offset", "a_coef", "a_lo", "a_hi", "v_min", "v_max",
-                     "width", "edge", "diff", "w"):
-            delattr(self, name)  # freed before the smaller copies are made
-        v_lo, v_hi = self.v_lo, self.v_hi
-        below = (v_lo <= lo) & (v_hi <= lo)
-        index = np.flatnonzero(~below & ((v_lo <= hi) | (v_hi <= hi)))
-        # pieces below the bracket count in full, those above it not at all
-        np.subtract(self.bounds[1:], self.bounds[:-1], out=self.widths)
-        np.multiply(self.widths, below, out=self.widths)
-        self._activate(slice(None) if index.size == below.size else index, lo, hi)
-
-    def _activate(self, index, lo: float, hi: float) -> None:
+        v_min, v_max = self.v_min, self.v_max
+        below = v_max <= lo
+        index = np.flatnonzero(~below & (v_min <= hi))
         self.bracket = (lo, hi)
-        self.index = index
+        if index.size == below.size:
+            return
+        # pieces below the bracket count in full, those above it not at all
+        np.copyto(self.widths, 0.0)
+        np.copyto(self.widths, self.width, where=below)
+        del self.diff, v_min, v_max  # each array is freed once it is replaced
+        for name in ("v_min", "v_max", "width", "edge"):
+            setattr(self, name, getattr(self, name)[index])
         self.a_offset, self.a_coef = self.offset[index], self.coef[index]
         self.a_lo, self.a_hi = self.bounds[:-1][index], self.bounds[1:][index]
-        v_lo, v_hi = self.v_lo[index], self.v_hi[index]
-        self.v_min = np.minimum(v_lo, v_hi)
-        self.v_max = np.maximum(v_lo, v_hi)
-        self.width = self.a_hi - self.a_lo
-        # measure below c: root - lo on rising pieces, hi - root on falling ones
-        self.edge = np.where(self.a_coef > 0.0, self.a_lo, self.a_hi)
-        self.diff = np.empty_like(self.width)
-        # with every piece active the pass writes the buffer in place
-        self.w = self.widths if isinstance(index, slice) else np.empty_like(self.width)
+        self.diff, self.w = np.empty(index.size), np.empty(index.size)
+        self.index = index
+
+    def steps(self, lo: float, hi: float) -> tuple[list[float] | None, float]:
+        """The floats in ``(lo, hi]`` at which the computed level can change.
+
+        Returns them sorted and ending with ``hi``, with 0.0.  When there
+        would be more than ``_STEPS_MAX`` or no grid bounds them, returns
+        None with the widest bracket worth asking about again.
+
+        A pass sees a level c through the masks ``v_max <= c``, which
+        changes at ``v_max``, and ``v_min < c``, which changes at the float
+        after ``v_min``; on an exponential piece straddling c it also sees
+        ``fl(c - d)``, which changes only where ``c - d`` crosses a rounding
+        tie, at that c or at the float after it.  Let ``2 h`` be the least
+        ulp of ``fl(c - d)`` over the bracket and the active exponential
+        pieces: every tie is then a multiple of ``h``.  If ``h`` divides
+        each of their ``d`` and no float of the bracket is finer, every
+        ``d + tie`` is a float multiple of ``h``.  So the level is constant
+        from one to the next of: the multiples of ``h``, the ``v_min`` and
+        ``v_max``, the float after each of these, and ``hi``.
+        """
+        d, curved = self.a_offset, self.a_coef != 0.0
+        # the pass's scratch buffers hold nothing between passes
+        dist, scratch = self.diff, self.w
+        # the least |c - d| over the bracket: its distance to d, <= 0 when d lies in it
+        np.maximum(np.subtract(lo, d, out=dist), np.subtract(d, hi, out=scratch), out=dist)
+        gap = np.min(dist, where=curved, initial=math.inf)
+        points = []
+        if gap < math.inf:
+            # the ulp below the least |c - d|: ties at a binade's edge are that fine
+            h = math.ulp(math.nextafter(float(gap), 0.0)) / 2.0
+            if not gap > 0.0 or h < math.ulp(max(abs(lo), abs(hi))):
+                return None, (hi - lo) / 4.0
+            # with the float after each, the multiples alone must fit in the list
+            if 2 * (math.floor(hi / h) - math.ceil(lo / h) + 1) > _STEPS_MAX:
+                return None, _STEPS_MAX / 2 * h  # h only grows as the bracket narrows
+            if np.min(np.abs(d, out=scratch), where=curved, initial=math.inf) < 2.0 ** 52 * h:
+                return None, (hi - lo) / 4.0
+            points.append(np.arange(math.ceil(lo / h), math.floor(hi / h) + 1) * h)
+        for v in (self.v_min, self.v_max):
+            points.append(v[(lo <= v) & (v <= hi)])
+        points = np.concatenate(points)
+        if points.size > _STEPS_MAX:
+            return None, (hi - lo) / 4.0
+        points = np.concatenate((points, np.nextafter(points, math.inf))).tolist()
+        points = sorted({x for x in points if lo < x <= hi} | {hi})
+        if len(points) > _STEPS_MAX:
+            return None, (hi - lo) / 4.0
+        return points, 0.0
 
 
 def level_measure(profile: DeltaProfile, c: float) -> tuple[float, float]:
@@ -234,34 +312,48 @@ def median_offset(profile: DeltaProfile) -> float:
     The search keeps a bracket ``(lo, hi]`` with the level below 1/2 at
     ``lo`` and at least 1/2 at ``hi``.  It starts just below the lowest
     value of ``delta`` and at the highest, where the level is 1, with the
-    first probe at the mean of ``delta``, and ends at adjacent floats, where
-    ``c_lo = hi``.  Each probe is one ``level_measure`` pass that returns
-    ``L(c)`` and its slope ``L'(c) = sum 1 / (|c - d_i| ln b)`` over the
-    exponential pieces whose value range straddles ``c``.  The next probe
-    is the Newton step when it lands inside the bracket, and the midpoint
-    by rank otherwise (always, where the slope is 0).  Every probe lies
-    inside the open bracket, so the search ends.  The computed level is
-    a staircase at the scale of rounding, so near 1/2 Newton stalls on one
-    side: each further probe on the same side doubles the step, and a level
-    of exactly 1/2 steps by one ulp, so the other side is found in a few
-    probes instead of by halving from afar.  A constant profile starts at
-    adjacent floats, so it returns its one value without a probe.
+    first probe at the mean of ``delta``.  Each probe is one
+    ``level_measure`` pass that returns ``L(c)`` and its slope
+    ``L'(c) = sum 1 / (|c - d_i| ln b)`` over the exponential pieces whose
+    value range straddles ``c``.  The next probe is the Newton step when it
+    lands inside the bracket, and the midpoint by rank otherwise (always,
+    where the slope is 0).  The computed level is a staircase at the scale
+    of rounding, so near 1/2 Newton stalls on one side: each further probe
+    on the same side doubles the step, and a level of exactly 1/2 steps by
+    one ulp, so the other side is found in a few probes instead of by
+    halving from afar.
+
+    Once probes have landed on both sides, the search asks
+    ``_LevelProfile.steps`` for the floats of the bracket where the level
+    can change: the ``v_min`` and ``v_max`` inside it, the multiples of a
+    grid step ``h`` fine enough to hold every rounding tie of
+    ``fl(c - d_i)``, the next float after each, and ``hi``.  The level is
+    constant from one of them to the next, so ``c_lo`` is one of them; with
+    at most ``_STEPS_MAX`` the search bisects over the list, one pass per
+    halving, and ends.  Otherwise the Newton steps go on and the search
+    asks again once the bracket is narrow enough.  Every probe lies inside
+    the open bracket, so the search ends, at the latest at adjacent
+    floats, where ``c_lo = hi``.  A constant profile starts at adjacent
+    floats, so it returns its one value without a probe.
 
     A profile of ``_NARROW_MIN_PIECES`` or more is narrowed to the bracket
     once probes have landed on both sides; the module docstring says why
     the result keeps its bits.
     """
     level = _LevelProfile(profile)
-    v_lo, v_hi = level.v_lo, level.v_hi
-    lo = math.nextafter(float(min(v_lo.min(), v_hi.min())), -math.inf)
-    hi = float(max(v_lo.max(), v_hi.max()))
-    # integral of a*b**t + d over a piece is (v_hi - v_lo) / ln b + d * width
-    c = (float(np.sum(v_hi - v_lo)) / level.log_b
-         + float(np.dot(level.offset, np.diff(level.bounds))))
+    lo = math.nextafter(float(level.v_min.min()), -math.inf)
+    hi = float(level.v_max.max())
+    c = level.mean
     narrow = level.piece_count >= _NARROW_MIN_PIECES
     stretch = 1.0
     was_above = None
+    sides = set()
+    steps, retry = None, math.inf
     while math.nextafter(lo, hi) < hi:
+        if len(sides) == 2 and hi - lo <= retry:
+            steps, retry = level.steps(lo, hi)
+            if steps is not None:
+                break
         if not lo < c < hi:
             c = _midpoint(lo, hi)
         # looked up on the module at each probe; the benchmark counts these calls
@@ -271,7 +363,8 @@ def median_offset(profile: DeltaProfile) -> float:
             hi = c
         else:
             lo = c
-        if narrow and was_above is not None and above != was_above:
+        sides.add(above)
+        if narrow and len(sides) == 2:
             level.narrow(lo, hi)
             narrow = False
         stretch = 2.0 * stretch if above == was_above else 1.0
@@ -283,6 +376,16 @@ def median_offset(profile: DeltaProfile) -> float:
             c += stretch * step
         else:
             c = math.nan
+    if steps is not None:
+        # the level is constant from one step to the next: bisect over them
+        below, at = -1, len(steps) - 1
+        while at - below > 1:
+            mid = (below + at) // 2
+            if level_measure(level, steps[mid])[0] >= 0.5:
+                at = mid
+            else:
+                below = mid
+        hi = steps[at]
     return hi
 
 

@@ -279,17 +279,97 @@ class TestNarrowedLevel:
         assert_median_interval(prof)
 
 
+def ordinal(x):
+    """Rank of ``x`` among binary64 values; both zeros have rank 0."""
+    bits = int(np.float64(x).view(np.int64))
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def from_ordinal(k):
+    """The binary64 value of rank ``k``."""
+    x = float(np.int64(abs(k)).view(np.float64))
+    return x if k >= 0 else -x
+
+
+def bisected_median(prof):
+    """The least float where the level reaches 1/2, by plain rank bisection."""
+    values, level = piece_values(prof), _LevelProfile(prof)
+    lo, hi = ordinal(math.nextafter(float(values.min()), -math.inf)), ordinal(float(values.max()))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if level_measure(level, from_ordinal(mid))[0] >= 0.5:
+            hi = mid
+        else:
+            lo = mid
+    return from_ordinal(hi)
+
+
+def near_offsets_profile(rng):
+    """Over 2 * _NARROW_MIN_PIECES pieces of equal width: constant ones, two
+    short of half below 0 and two short of half above, and four exponential
+    ones whose values and offsets d all lie within 3e-300 of 0.  The level
+    reaches 1/2 inside the second of these by value."""
+    pieces = 2 * transport._NARROW_MIN_PIECES
+    half = pieces // 2
+    coef = np.zeros(pieces)
+    offset = np.concatenate((-rng.random(half - 2), 1.0 + rng.random(half - 2), np.zeros(4)))
+    coef[-4:], offset[-4:] = 1e-300, [0.0, -1e-300, 1e-300, -2e-300]
+    order = rng.permutation(pieces)
+    return DeltaProfile(base=2, bounds=np.arange(pieces + 1) / pieces,
+                        coef=coef[order], offset=offset[order])
+
+
+class TestStaircaseFinish:
+    """The search's finish over the level's steps returns what bisecting the
+    level over every float does."""
+
+    @pytest.mark.parametrize("base,N", NARROW_ROWS + [(2, 13), (10, 10 ** 4)])
+    def test_rows(self, base, N):
+        prof = nu_profile(base, N)
+        assert median_offset(prof).hex() == bisected_median(prof).hex()
+
+    def test_random_pairs(self, rng):
+        for _ in range(100):
+            prof = delta_profile(random_cdf(rng), random_cdf(rng))
+            assert median_offset(prof).hex() == bisected_median(prof).hex()
+
+    def test_offsets_at_the_median_fall_back(self, rng, monkeypatch):
+        """Offsets d within 1e-300 of the median make the grid of rounding
+        ties too fine to list, so the search bisects by rank to the end."""
+        listed = []
+        steps = _LevelProfile.steps
+
+        def recorded(self, lo, hi):
+            listed.append(steps(self, lo, hi))
+            return listed[-1]
+
+        monkeypatch.setattr(_LevelProfile, "steps", recorded)
+        prof = near_offsets_profile(rng)
+        assert median_offset(prof).hex() == bisected_median(prof).hex()
+        assert listed and all(points is None for points, _ in listed)
+
+    @pytest.mark.parametrize("base", [10, 2])
+    def test_rows_take_few_passes(self, base, monkeypatch):
+        calls = []
+        monkeypatch.setattr(transport, "level_measure",
+                            lambda prof, c: calls.append(c) or level_measure(prof, c))
+        median_offset(nu_profile(base, 10 ** 5))
+        assert len(calls) <= 9
+
+
 @pytest.mark.parametrize("base,N,d_line,d_circle,offset_c", [
     (10, 10 ** 5, "0x1.0d719f2c85720p-15", "0x1.a126926776faap-18", "0x1.0dfc52dcad001p-15"),
     (2, 10 ** 5, "0x1.5f0a135eb7996p-14", "0x1.0d6d95b867076p-16", "0x1.5f21d7cdd2001p-14"),
     (3, 300, "0x1.4f0a70c282109p-7", "0x1.403d7afd6e4d4p-9", "0x1.505c010333141p-7"),
     (16, 2000, "0x1.65cd088034046p-11", "0x1.bfedab26e3f50p-13", "0x1.65715a685bd01p-11"),
     (2, 13, "0x1.1de608c25dee1p-3", "0x1.bef05f81f05f2p-5", "0x1.12a2ce48a2addp-3"),
+    (10, 10 ** 6, "0x1.f23813414dfbep-19", "0x1.68a179798f42cp-21", "0x1.f2f5e4eee8001p-19"),
 ])
 def test_rows_keep_their_bits(base, N, d_line, d_circle, offset_c):
     """Rows to the last bit, as recorded before the level passes were narrowed
     and the integrals restricted to the split pieces; (2, 13) has a flat
-    median stretch, whose lower end is its offset."""
+    median stretch, whose lower end is its offset, and (10, 10**6) is the
+    benchmark's row, recorded before the search listed the level's steps."""
     row = compute_metrics(base, N)
     assert (row.d_line.hex(), row.d_circle.hex(), row.offset_c.hex()) == (d_line, d_circle, offset_c)
 
