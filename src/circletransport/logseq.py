@@ -108,41 +108,58 @@ def closed_form_cdf(base: int, count: int) -> PiecewiseCdf:
 
     The level just right of the breakpoint at the fractional log of an
     n-digit integer i is the exact count of k <= N sharing a mantissa
-    <= i / b**(n-1), computed as ``n + sum_j(floor(i / b**j) - b**(n-1-j))``
-    over j = 0..n-1.  For N < b the piece structure degenerates and the
-    direct empirical construction is used instead.
+    <= i / b**(n-1), which is ``n + S(i) - sum_j b**(n-1-j)`` with the
+    digit sum ``S(i) = sum_j floor(i / b**j)`` over j = 0..n-1; the
+    (n-1)-digit integers i > N / b wrap around and add N.  Consecutive
+    digit sums differ by ``S(i) - S(i-1) = #{j >= 0 : b**j divides i}``,
+    so S over the whole range i = floor(N/b)+1..N is one exact sum at its
+    start, one strided increment per power of b (about P b / (b-1) element
+    updates over P pieces) and one cumulative sum: the work is O(N).  For
+    N < b the piece structure degenerates and the direct empirical
+    construction is used instead.
     """
     spec = LogSequenceSpec(base, count)
     b, N, n = spec.base, spec.count, spec.digits
     if N < b:
         return cdf_of_empirical(build_nu(b, N))
 
-    geom = (b ** n - 1) // (b - 1)  # sum of b**(n-1-j), j = 0..n-1
+    top = b ** (n - 1)  # the first n-digit integer
+    first = N // b + 1  # the first (n-1)-digit integer whose block wraps
+    wrapped = top - first  # pieces of the wrapped block, after the n-digit ones
+    size = N + 1 - first
     log_b = math.log(b)
 
-    def counts_for(ii: np.ndarray) -> np.ndarray:
-        s = np.zeros(ii.size, dtype=np.int64)
-        p = 1
-        for _ in range(n):
-            s += ii // p
-            p *= b
-        return n + s - geom
+    # digit sums S(i) for i = first..N: increments, then one cumulative sum
+    counts = np.zeros(size, dtype=np.int64)
+    start, p = 0, 1
+    while p <= N:  # p = b**j, j = 0..n-1
+        counts[-first % p::p] += 1  # the i divisible by p
+        start += first // p
+        p *= b
+    counts[0] = start
+    np.add.accumulate(counts, out=counts)
+    counts += n - (b ** n - 1) // (b - 1)
+    counts[:wrapped] += N  # the (n-1)-digit i wrap around
 
-    # n-digit block: pieces start at the fractional logs of i = b**(n-1)..N.
-    ii = np.arange(b ** (n - 1), N + 1, dtype=np.int64)
-    pos_hi = np.log(ii / b ** (n - 1)) / log_b
-    lev_hi = counts_for(ii) / N
-
-    # Wrapped (n-1)-digit block: i = floor(N/b)+1 .. b**(n-1)-1, count + N.
-    jj = np.arange(N // b + 1, b ** (n - 1), dtype=np.int64)
-    if jj.size:
-        pos_lo = np.log(jj / b ** (n - 2)) / log_b
-        lev_lo = (counts_for(jj) + N) / N
-        bounds = np.concatenate((pos_hi, pos_lo, [1.0]))
-        levels = np.concatenate((lev_hi, lev_lo))
-    else:
-        bounds = np.concatenate((pos_hi, [1.0]))
-        levels = lev_hi
+    # pieces start at the fractional logs of the n-digit i = b**(n-1)..N,
+    # then at those of the wrapped i = floor(N/b)+1 .. b**(n-1)-1
+    levels = np.empty(size)
+    np.divide(counts[wrapped:], N, out=levels[:size - wrapped])
+    np.divide(counts[:wrapped], N, out=levels[size - wrapped:])
+    del counts  # freed before the bounds are made
+    # the i as floats, counted up in place by a cumulative sum of ones: exact
+    # below 2**53, past any array that fits in memory; np.arange temporaries
+    # here left 16 MB more resident after a row at base 2, N = 10^7
+    bounds = np.empty(size + 1)
+    bounds.fill(1.0)
+    hi, lo = bounds[:size - wrapped], bounds[size - wrapped:size]
+    hi[0], lo[:1] = top, first
+    np.add.accumulate(hi, out=hi)
+    np.add.accumulate(lo, out=lo)
+    hi /= top
+    lo /= top // b
+    np.log(bounds[:size], out=bounds[:size])
+    bounds[:size] /= log_b
     return PiecewiseCdf(base=b, bounds=bounds,
                         coef=np.zeros_like(levels), offset=levels)
 

@@ -1,29 +1,56 @@
-"""Length-independent accurate summation for long piecewise accumulations."""
+"""Length-independent accurate summation for long piecewise accumulations.
+
+The block rule, the one place it is defined: an array of at most ``_BLOCK``
+floats is summed by ``math.fsum`` (exactly rounded).  A longer array is cut
+into blocks of ``_BLOCK`` from its start; each full block is reduced with
+numpy's pairwise summation, the short tail (if any) with ``fsum``, and the
+block totals with ``fsum``.  Naive left-to-right accumulation over a million
+pieces loses about three digits; this rule's error does not grow with the
+length.
+
+``block_sums`` returns the floats that the last ``fsum`` takes.  Each full
+block's total depends on that block alone, so a caller may evaluate a long
+array in the spans that ``spans`` cuts, collect every span's
+``block_sums`` and ``fsum`` them once: the result has the bits of
+``compensated_sum`` over the whole array.
+"""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
 _BLOCK = 4096
 
 
-def compensated_sum(values) -> float:
-    """Sum an array of floats with error that does not grow with length.
-
-    Blocks are reduced with numpy's pairwise summation and the block totals
-    are combined with ``math.fsum`` (exactly rounded).  Piece counts here can
-    reach ~10^6, where naive left-to-right accumulation loses ~3 digits.
-    """
+def block_sums(values) -> list[float]:
+    """The floats whose ``math.fsum`` is ``compensated_sum(values)``."""
     v = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        return 0.0
     if v.size <= _BLOCK:
-        return math.fsum(v.tolist())
+        return v.tolist()
     nfull = (v.size // _BLOCK) * _BLOCK
-    blocks = v[:nfull].reshape(-1, _BLOCK).sum(axis=1)
-    parts = blocks.tolist()
+    parts = v[:nfull].reshape(-1, _BLOCK).sum(axis=1).tolist()
     if nfull < v.size:
         parts.append(math.fsum(v[nfull:].tolist()))
-    return math.fsum(parts)
+    return parts
+
+
+def compensated_sum(values) -> float:
+    """Sum an array of floats by the block rule of this module."""
+    return math.fsum(block_sums(values))
+
+
+def spans(size: int, span: int) -> Iterable[tuple[int, int]]:
+    """``(start, stop)`` pairs cutting ``range(size)`` into spans of ``span``
+    whose ``block_sums`` together are those of the whole range.
+
+    ``span`` is a multiple of ``_BLOCK`` of at least two blocks.  Spans
+    start at multiples of ``span``, and a remainder of at most ``_BLOCK``
+    joins the span before it.  So every span holds more than ``_BLOCK``
+    values unless it is the whole range: a span of at most ``_BLOCK`` is
+    fsummed as it stands, where the whole array reduces it pairwise.
+    """
+    starts = range(0, max(size - _BLOCK, 1), span)
+    return zip(starts, [*starts[1:], size])

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DeltaProfile, PiecewiseCdf, delta_profile
-from .summation import compensated_sum
+from .summation import _BLOCK, block_sums, compensated_sum, spans
 
 __all__ = [
     "TransportResult",
@@ -74,6 +74,17 @@ class TransportResult:
     offset: float
 
 
+# integral_abs evaluates the pieces in spans of this many, a multiple of the
+# summation block of at least two blocks (see ``summation.spans``).  Its
+# temporaries, 128 KB each, stay in a 2 MB L2 cache.  On a 2-CPU Xeon one
+# call took (fastest to median of seven) at base 2, N = 10^7 (5M pieces),
+# c = 0: 68-95 ms with spans of 2, 4 or 8 blocks, 85-103 ms with 16, 122-142
+# with 64 and 129-203 with 256, against 220-340 ms in one pass over whole
+# arrays; at base 10, N = 10^6 and the median offset: 31-48 ms with 2 to 8
+# blocks, 38-52 with 16 and 60-68 with 64, against 60-74 in one pass.
+_SPAN = 4 * _BLOCK
+
+
 def integral_abs(profile: DeltaProfile, c: float) -> float:
     """Exact value of ``integral_0^1 |delta(t) - c| dt``.
 
@@ -83,12 +94,15 @@ def integral_abs(profile: DeltaProfile, c: float) -> float:
     compensated summation.  Roots and second parts are computed only for
     the pieces whose end values differ in sign; the powers ``b**t`` at the
     bounds are the profile's own, computed once per profile.
+
+    The pieces are evaluated in the spans of ``_SPAN`` that
+    ``summation.spans`` cuts, so every temporary is span-sized.  The
+    ``block_sums`` of those spans are the whole-length arrays' own, so one
+    ``fsum`` of them has the bits of ``compensated_sum`` over the first
+    parts and over the second parts of all pieces.
     """
     powers = profile._bound_powers()
-    lo, hi = profile.bounds[:-1], profile.bounds[1:]
-    pow_lo = powers[:-1]
-    a = profile.coef
-    shift = profile.offset - c
+    bounds, coef, offset = profile.bounds, profile.coef, profile.offset
     log_b = math.log(profile.base)
 
     # integral of a*b**t + shift over [u, v]; expm1 keeps nearby powers exact
@@ -96,22 +110,29 @@ def integral_abs(profile: DeltaProfile, c: float) -> float:
         width = v - u
         return a * pow_u * np.expm1(width * log_b) / log_b + shift * width
 
-    t_mid, second = hi, 0.0
-    # the end values' product is negative only on exponential pieces (a != 0)
-    split = np.flatnonzero((a * pow_lo + shift) * (a * powers[1:] + shift) < 0.0)
-    if split.size:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.log(-shift[split] / a[split]) / log_b
-        inside = (root > lo[split]) & (root < hi[split])
-        split, root = split[inside], root[inside]
-        t_mid = hi.copy()
-        t_mid[split] = root
-        # summed over all pieces, zeros included, so its blocks match the first part's
-        parts = np.zeros_like(hi)
-        parts[split] = np.abs(chunk(a[split], shift[split], root,
-                                    np.power(float(profile.base), root), hi[split]))
-        second = compensated_sum(parts)
-    return compensated_sum(np.abs(chunk(a, shift, lo, pow_lo, t_mid))) + second
+    first, second = [], []
+    for start, stop in spans(coef.size, _SPAN):
+        lo, hi = bounds[start:stop], bounds[start + 1:stop + 1]
+        pow_lo, pow_hi = powers[start:stop], powers[start + 1:stop + 1]
+        a, shift = coef[start:stop], offset[start:stop] - c
+        t_mid = hi
+        # the end values' product is negative only on exponential pieces (a != 0)
+        split = np.flatnonzero((a * pow_lo + shift) * (a * pow_hi + shift) < 0.0)
+        if split.size:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                root = np.log(-shift[split] / a[split]) / log_b
+            inside = (root > lo[split]) & (root < hi[split])
+            split, root = split[inside], root[inside]
+            t_mid = hi.copy()
+            t_mid[split] = root
+            # summed over all pieces of the span, zeros included, so its blocks
+            # are the whole array's; a span without splits would add only zeros
+            parts = np.zeros_like(hi)
+            parts[split] = np.abs(chunk(a[split], shift[split], root,
+                                        np.power(float(profile.base), root), hi[split]))
+            second += block_sums(parts)
+        first += block_sums(np.abs(chunk(a, shift, lo, pow_lo, t_mid)))
+    return math.fsum(first) + math.fsum(second)
 
 
 # Below a few thousand pieces a level pass costs its numpy calls, not its

@@ -161,6 +161,35 @@ class TestIntegerCountIdentity:
                 i = round(b ** (bound + n - 1))
                 assert significand_count(b, N, i) == count
 
+    @staticmethod
+    def floor_sum_counts(b, N):
+        """Levels times N from n floor divisions per piece, in piece order:
+        the n-digit block, then the wrapped (n-1)-digit block plus N."""
+        n = digit_count(b, N)
+
+        def counts_for(ii):
+            s = np.zeros(ii.size, dtype=np.int64)
+            p = 1
+            for _ in range(n):
+                s += ii // p
+                p *= b
+            return n + s - (b ** n - 1) // (b - 1)
+
+        top = b ** (n - 1)
+        return np.concatenate((counts_for(np.arange(top, N + 1, dtype=np.int64)),
+                               counts_for(np.arange(N // b + 1, top, dtype=np.int64)) + N))
+
+    @pytest.mark.parametrize("b,N", [
+        (2, 2 ** 20 - 1), (2, 2 ** 20), (2, 2 ** 20 + 1), (3, 3 ** 12 + 5),
+        (10, 10 ** 5 - 1), (10, 10 ** 5), (16, 16 ** 4 + 3), (3, 3 ** 11 - 1)])
+    def test_closed_form_counts_at_many_digits(self, b, N):
+        # N = b**n - 1 leaves the wrapped block empty
+        F = closed_form_cdf(b, N)
+        counts = self.floor_sum_counts(b, N)
+        assert F.piece_count == N - N // b
+        assert np.array_equal(np.rint(F.offset * N), counts)
+        assert np.array_equal(F.offset, counts / N)
+
 
 class TestReferenceRotation:
     def test_exact_powers_give_zero(self):

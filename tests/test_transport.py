@@ -38,6 +38,8 @@ LINE_VALUE = 2 - 1 / LN2                  # integral of |2 - 2**t|
 CIRCLE_VALUE = (3 - 2 * SQRT2) / LN2      # integral of |sqrt(2) - 2**t|
 MEDIAN_C = 2 - SQRT2
 
+SPAN = transport._SPAN  # pieces per span of integral_abs
+
 
 def atom_exp_profile():
     F = cdf_of_empirical(build_empirical([0.0], 2))
@@ -69,6 +71,63 @@ class TestIntegralAbs:
 
     def test_shift_by_one(self):
         assert integral_abs(atom_exp_profile(), 1.0) == pytest.approx(1 / LN2 - 1, abs=1e-15)
+
+    @pytest.mark.parametrize("pieces", [
+        1, 4095, 4096, 4097, SPAN - 1, SPAN, SPAN + 1, SPAN + 4096, 2 * SPAN + 4096])
+    def test_spans_keep_the_bits_of_one_pass(self, pieces, rng):
+        # a wrong rule moves the last bit in a quarter to a half of the cases
+        for _ in range(3):
+            prof = wide_tail_profile(rng, pieces)
+            v = piece_values(prof)
+            for c in (0.0, median_offset(prof), *rng.uniform(v.min(), v.max(), 5).tolist()):
+                assert integral_abs(prof, c).hex() == one_pass_integral_abs(prof, c).hex(), c
+
+
+def one_pass_sum(values):
+    """The block rule of ``summation`` applied to a whole array in one call."""
+    if values.size <= 4096:
+        return math.fsum(values.tolist())
+    nfull = values.size // 4096 * 4096
+    parts = values[:nfull].reshape(-1, 4096).sum(axis=1).tolist()
+    return math.fsum(parts + [math.fsum(values[nfull:].tolist())])
+
+
+def one_pass_integral_abs(prof, c):
+    """``integral_abs`` over whole-length arrays, as it was before it took spans."""
+    b, log_b = float(prof.base), math.log(prof.base)
+    powers, lo, hi = np.power(b, prof.bounds), prof.bounds[:-1], prof.bounds[1:]
+    a, shift = prof.coef, prof.offset - c
+
+    def chunk(a, shift, u, pow_u, v):
+        width = v - u
+        return a * pow_u * np.expm1(width * log_b) / log_b + shift * width
+
+    split = np.flatnonzero((a * powers[:-1] + shift) * (a * powers[1:] + shift) < 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.log(-shift[split] / a[split]) / log_b
+    inside = (root > lo[split]) & (root < hi[split])
+    split, root = split[inside], root[inside]
+    t_mid, parts = hi.copy(), np.zeros_like(hi)
+    t_mid[split] = root
+    parts[split] = np.abs(chunk(a[split], shift[split], root, np.power(b, root), hi[split]))
+    return one_pass_sum(np.abs(chunk(a, shift, lo, powers[:-1], t_mid))) + one_pass_sum(parts)
+
+
+def wide_tail_profile(rng, pieces):
+    """A random profile whose last 4,096 pieces hold nearly all of [0, 1].
+
+    Those pieces then carry the integral, so a last span summed by the wrong
+    rule (``fsum`` where the whole array reduces that block pairwise) shows
+    in the result's last bits.
+    """
+    widths = rng.random(pieces) + 0.5
+    widths[-4096:] *= 1000.0
+    bounds = np.concatenate(([0.0], np.cumsum(widths)))
+    bounds /= bounds[-1]
+    bounds[-1] = 1.0
+    coef = rng.normal(0.0, 0.3, pieces)
+    coef[rng.random(pieces) < 0.2] = 0.0
+    return DeltaProfile(base=10, bounds=bounds, coef=coef, offset=rng.normal(0.0, 0.3, pieces))
 
 
 class TestLevelMeasure:
@@ -372,6 +431,18 @@ def test_rows_keep_their_bits(base, N, d_line, d_circle, offset_c):
     benchmark's row, recorded before the search listed the level's steps."""
     row = compute_metrics(base, N)
     assert (row.d_line.hex(), row.d_circle.hex(), row.offset_c.hex()) == (d_line, d_circle, offset_c)
+
+
+@pytest.mark.parametrize("base,N,d_line", [
+    (2, 10 ** 7, "0x1.4365d07472996p-20"),
+    (2, 1060921, "0x1.51559bee01d4cp-17"),
+    (3, 1595100, "0x1.2d5fe2fd35d5ap-18"),
+])
+def test_line_rows_keep_their_bits(base, N, d_line):
+    """Line-only rows of half a million to five million pieces to the last
+    bit, as recorded before ``closed_form_cdf`` took running digit sums and
+    ``integral_abs`` took spans; (2, 10**7) is the benchmark's line row."""
+    assert compute_metrics(base, N, ("line",)).d_line.hex() == d_line
 
 
 class TestW1Line:
