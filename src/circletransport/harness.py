@@ -11,7 +11,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,11 +45,7 @@ LINEAR_FLOOR = 0.01         # frozen floor for min N * d_circle (base 10)
 # limsup bound for N/sqrt(ln N) * d_circle in base 10
 CIRCLE_SQRT_BOUND = math.sqrt(33.0 / (40.0 * math.log(10.0))) / math.log(10.0)
 
-_CSV_COLUMNS = (
-    "base", "N", "n", "d_line", "d_circle", "offset_c",
-    "scaled_line", "scaled_circle_sqrt", "scaled_circle_linear",
-    "wall_time_seconds",
-)
+_METRICS = ("line", "circle")  # what compute_metrics can compute
 
 
 def line_rate_limit(base: int) -> float:
@@ -92,6 +88,11 @@ class MetricsRow:
     wall_time_seconds: float
 
 
+# the CSV schema: MetricsRow's fields in order, each with its int or float type
+_CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))
+_CSV_TYPES = tuple(int if f.type == "int" else float for f in fields(MetricsRow))
+
+
 @dataclass(frozen=True)
 class RateFit:
     """Least-squares fit of r(N) = intercept + slope / ln N."""
@@ -110,11 +111,17 @@ def decade_grid(n_min: int, n_max: int, points_per_decade: int) -> list[int]:
     return sorted(N for N in grid if n_min <= N <= n_max)
 
 
-def compute_metrics(base: int, N: int, metrics: tuple[str, ...] = ("line", "circle")) -> MetricsRow:
-    """One exact row: distances of nu_N from its rotated exponential reference."""
+def compute_metrics(base: int, N: int, metrics: tuple[str, ...] = _METRICS) -> MetricsRow:
+    """One exact row: distances of nu_N from its rotated exponential reference.
+
+    ``metrics`` is a non-empty subset of ``("line", "circle")``; a metric
+    left out reads NaN in the row.
+    """
+    if not metrics or not set(metrics) <= set(_METRICS):
+        raise ValueError(f"metrics must be a non-empty subset of {_METRICS}, got {metrics!r}")
     spec = LogSequenceSpec(base, N)  # the envelope; its base is an int
     base, n = spec.base, spec.digits
-    if N < base:
+    if base > N:
         raise ValueError(f"need N >= base, got N={N} base={base}")
     start = time.perf_counter()
     # only the profile outlives this line, so the CDFs do not add to the row's peak
@@ -139,14 +146,10 @@ def compute_metrics(base: int, N: int, metrics: tuple[str, ...] = ("line", "circ
 
 
 def run_sweep(cfg: SweepConfig) -> list[MetricsRow]:
-    """Compute the grid rows (parallel if configured) and write the CSV."""
+    """Compute the grid rows on ``cfg.threads`` threads and write the CSV."""
     grid = decade_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade)
-    if cfg.threads > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(lambda N: compute_metrics(cfg.base, N), grid))
-    else:
-        rows = [compute_metrics(cfg.base, N) for N in grid]
-    rows.sort(key=lambda r: r.N)
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        rows = list(pool.map(lambda N: compute_metrics(cfg.base, N), grid))  # grid order
     if cfg.out is not None:
         write_csv(rows, cfg.out)
     return rows
@@ -160,12 +163,8 @@ def write_csv(rows: list[MetricsRow], path: str) -> None:
     """17 significant digits, LF endings, dot decimals; round-trips exactly."""
     lines = [",".join(_CSV_COLUMNS)]
     for r in rows:
-        lines.append(",".join([
-            str(r.base), str(r.N), str(r.n),
-            _fmt(r.d_line), _fmt(r.d_circle), _fmt(r.offset_c),
-            _fmt(r.scaled_line), _fmt(r.scaled_circle_sqrt),
-            _fmt(r.scaled_circle_linear), _fmt(r.wall_time_seconds),
-        ]))
+        lines.append(",".join(str(getattr(r, c)) if t is int else _fmt(getattr(r, c))
+                              for c, t in zip(_CSV_COLUMNS, _CSV_TYPES)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -175,16 +174,8 @@ def read_csv(path: str) -> list[MetricsRow]:
         lines = fh.read().splitlines()
     if not lines or lines[0] != ",".join(_CSV_COLUMNS):
         raise ValueError(f"unexpected CSV header in {path}")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        rows.append(MetricsRow(
-            base=int(parts[0]), N=int(parts[1]), n=int(parts[2]),
-            d_line=float(parts[3]), d_circle=float(parts[4]), offset_c=float(parts[5]),
-            scaled_line=float(parts[6]), scaled_circle_sqrt=float(parts[7]),
-            scaled_circle_linear=float(parts[8]), wall_time_seconds=float(parts[9]),
-        ))
-    return rows
+    return [MetricsRow(*(t(v) for v, t in zip(line.split(","), _CSV_TYPES, strict=True)))
+            for line in lines[1:]]
 
 
 def fit_rate(rows: list[MetricsRow], column: str) -> RateFit:

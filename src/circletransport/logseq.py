@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import (CircleEmpirical, PiecewiseCdf, _check_base, build_empirical,
-                       cdf_of_empirical)
+from .measures import CircleEmpirical, PiecewiseCdf, _check_base, build_empirical
 
 __all__ = [
     "LogSequenceSpec",
@@ -100,7 +99,7 @@ def build_nu(base: int, count: int) -> CircleEmpirical:
     """Empirical measure of the fractional parts of log_b(k), k = 1..count."""
     base = LogSequenceSpec(base, count).base  # the (base, N) envelope
     ks = np.arange(1, count + 1, dtype=np.int64)
-    return build_empirical(np.sort(_frac_log_many(base, ks)), base)
+    return build_empirical(_frac_log_many(base, ks), base)
 
 
 def closed_form_cdf(base: int, count: int) -> PiecewiseCdf:
@@ -114,15 +113,11 @@ def closed_form_cdf(base: int, count: int) -> PiecewiseCdf:
     digit sums differ by ``S(i) - S(i-1) = #{j >= 0 : b**j divides i}``,
     so S over the whole range i = floor(N/b)+1..N is one exact sum at its
     start, one strided increment per power of b (about P b / (b-1) element
-    updates over P pieces) and one cumulative sum: the work is O(N).  For
-    N < b the piece structure degenerates and the direct empirical
-    construction is used instead.
+    updates over P pieces) and one cumulative sum: the work is O(N).  The
+    same path serves N < b, where the wrapped block is empty.
     """
     spec = LogSequenceSpec(base, count)
     b, N, n = spec.base, spec.count, spec.digits
-    if N < b:
-        return cdf_of_empirical(build_nu(b, N))
-
     top = b ** (n - 1)  # the first n-digit integer
     first = N // b + 1  # the first (n-1)-digit integer whose block wraps
     wrapped = top - first  # pieces of the wrapped block, after the n-digit ones

@@ -13,6 +13,7 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,10 +101,16 @@ class _PiecewiseBase:
         bounds, coef, offset = self.bounds, self.coef, self.offset
         if bounds.ndim != 1 or coef.shape != offset.shape or coef.size != bounds.size - 1:
             raise ValueError("inconsistent piece array shapes")
-        if bounds.size < 2 or bounds[0] != 0.0 or bounds[-1] != 1.0:
+        # each test is written so that a NaN fails it
+        if not (bounds.size >= 2 and bounds[0] == 0.0 and bounds[-1] == 1.0):
             raise ValueError("pieces must cover [0, 1)")
-        if np.any(np.diff(bounds) <= 0.0):
+        if not np.all(bounds[1:] > bounds[:-1]):
             raise ValueError("piece bounds must be strictly increasing")
+        # a NaN or inf anywhere makes the sum of squares non-finite; two dot
+        # products allocate no full-length temporary (values past 1e154 in
+        # magnitude would overflow it too, far outside this family's range)
+        if not math.isfinite(float(coef @ coef + offset @ offset)):
+            raise ValueError("piece coefficients and offsets must be finite")
         _check_base(self.base)
 
     @property
@@ -169,12 +176,12 @@ class PiecewiseCdf(_PiecewiseBase):
 
     def __post_init__(self):
         super().__post_init__()
-        if np.any(self.coef < 0.0):
+        if not np.all(self.coef >= 0.0):
             raise ValueError("CDF pieces must be non-decreasing (coef >= 0)")
         starts, ends = self._piece_values()
-        if np.any(starts[1:] - ends[:-1] < -_EDGE_TOL):
+        if not np.all(starts[1:] - ends[:-1] >= -_EDGE_TOL):
             raise ValueError("negative jump at a piece boundary")
-        if starts[0] < -_EDGE_TOL or abs(ends[-1] - 1.0) > _EDGE_TOL:
+        if not (starts[0] >= -_EDGE_TOL and abs(ends[-1] - 1.0) <= _EDGE_TOL):
             raise ValueError("CDF must rise from 0 to a left limit of 1 at t=1")
 
 
@@ -209,17 +216,6 @@ def build_empirical(positions, base: int) -> CircleEmpirical:
     if np.any(pos < 0.0) or np.any(pos >= 1.0):
         raise ValueError("atom positions must lie in [0, 1)")
     return CircleEmpirical(base=base, positions=_frozen(np.sort(pos)))
-
-
-def _coalesce_equal_constants(bounds, coef, offset):
-    """Merge adjacent pieces with identical (coef, offset)."""
-    if coef.size <= 1:
-        return bounds, coef, offset
-    same = (coef[1:] == coef[:-1]) & (offset[1:] == offset[:-1])
-    if not np.any(same):
-        return bounds, coef, offset
-    keep = np.concatenate(([True], ~same))
-    return np.concatenate((bounds[:-1][keep], bounds[-1:])), coef[keep], offset[keep]
 
 
 def cdf_of_empirical(m: CircleEmpirical) -> PiecewiseCdf:
@@ -272,7 +268,8 @@ def rotate_cdf(F: PiecewiseCdf, y: float) -> PiecewiseCdf:
     ``rotate_cdf(cdf_wrapped_exponential(b, 0), y)`` equals
     ``cdf_wrapped_exponential(b, y)`` piece for piece.  Rotating by 0 is the
     identity; rotating by ``y`` then ``<1 - y>`` recovers the original up to
-    rounding.
+    rounding.  Only empty pieces are dropped: equal neighbouring pieces are
+    kept as they are, not merged.
     """
     if not 0.0 <= y < 1.0:
         raise ValueError(f"rotation must lie in [0, 1), got {y}")
@@ -305,7 +302,6 @@ def rotate_cdf(F: PiecewiseCdf, y: float) -> PiecewiseCdf:
     keep = widths > 0.0
     bounds = np.concatenate((bounds[:-1][keep], [1.0]))
     coef, offset = coef[keep], offset[keep]
-    bounds, coef, offset = _coalesce_equal_constants(bounds, coef, offset)
     return PiecewiseCdf(base=F.base, bounds=bounds, coef=coef, offset=offset)
 
 
@@ -337,7 +333,8 @@ def delta_profile(F: PiecewiseCdf, G: PiecewiseCdf) -> DeltaProfile:
     """Difference profile ``t -> F(t) - G(t)`` on the joint piece refinement.
 
     Constant pieces are base-agnostic; two exponential pieces may only be
-    combined when the bases agree.
+    combined when the bases agree.  Every joint piece is kept, also where it
+    equals its neighbour.
     """
     f_exp = bool(np.any(F.coef != 0.0))
     g_exp = bool(np.any(G.coef != 0.0))
@@ -349,5 +346,4 @@ def delta_profile(F: PiecewiseCdf, G: PiecewiseCdf) -> DeltaProfile:
     fi, gi, bounds = _merge_pieces(F.bounds, G.bounds)
     coef = F.coef[fi] - G.coef[gi]
     offset = F.offset[fi] - G.offset[gi]
-    bounds, coef, offset = _coalesce_equal_constants(bounds, coef, offset)
     return DeltaProfile(base=base, bounds=bounds, coef=coef, offset=offset)

@@ -47,6 +47,11 @@ class TestComputeMetrics:
         row = compute_metrics(10, 100, metrics=("line",))
         assert math.isnan(row.d_circle) and not math.isnan(row.d_line)
 
+    @pytest.mark.parametrize("metrics", [(), ("circel",), ("line", "arc"), "line"])
+    def test_rejects_unknown_or_no_metrics(self, metrics):
+        with pytest.raises(ValueError, match="'line', 'circle'"):
+            compute_metrics(10, 1000, metrics)
+
     def test_rejects_count_below_base(self):
         with pytest.raises(ValueError):
             compute_metrics(10, 9)
@@ -128,6 +133,15 @@ class TestSweep:
         header = raw.decode().splitlines()[0]
         assert header == ("base,N,n,d_line,d_circle,offset_c,scaled_line,"
                           "scaled_circle_sqrt,scaled_circle_linear,wall_time_seconds")
+
+    @pytest.mark.parametrize("edit", [lambda f: f[:-1], lambda f: f + ["0"]], ids=["short", "long"])
+    def test_csv_row_with_a_wrong_field_count_is_rejected(self, tmp_path, edit):
+        out = tmp_path / "bad.csv"
+        write_csv([compute_metrics(10, 100)], str(out))
+        header, row = out.read_text().splitlines()
+        out.write_text(header + "\n" + ",".join(edit(row.split(","))) + "\n")
+        with pytest.raises(ValueError):
+            read_csv(str(out))
 
     def test_determinism_excluding_wall_time(self, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

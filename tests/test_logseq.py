@@ -100,11 +100,13 @@ class TestClosedFormCdf:
             F = closed_form_cdf(b, N)
             assert F.value(1.0, side="left") == pytest.approx(1.0, abs=1e-15)
 
-    def test_degenerate_small_count_falls_back(self):
-        F = closed_form_cdf(10, 5)
-        G = cdf_of_empirical(build_nu(10, 5))
+    @pytest.mark.parametrize("b,N", [(b, N) for b in (2, 3, 10, 16) for N in range(1, b)])
+    def test_counts_below_the_base_take_the_digit_sum_path(self, b, N):
+        F = closed_form_cdf(b, N)
+        G = cdf_of_empirical(build_nu(b, N))
         assert np.array_equal(F.bounds, G.bounds)
         assert np.array_equal(F.offset, G.offset)
+        assert np.array_equal(F.coef, G.coef)
 
     def test_identical_to_empirical_construction(self, rng):
         # spot sample; the full N <= 10^4 sweep is in the acceptance suite

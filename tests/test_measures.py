@@ -13,7 +13,7 @@ from circletransport import (
     delta_profile,
     rotate_cdf,
 )
-from circletransport.measures import ATOM_MERGE_TOL, _merge_pieces
+from circletransport.measures import ATOM_MERGE_TOL, DeltaProfile, PiecewiseCdf, _merge_pieces
 from conftest import random_cdf, random_step_cdf
 
 UNIT_FLOATS = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -304,6 +304,18 @@ class TestDeltaProfile:
                 for k, t in enumerate(union[:-1]):
                     assert fi[k] == np.searchsorted(A.bounds, t, side="right") - 1
                     assert gi[k] == np.searchsorted(B.bounds, t, side="right") - 1
+
+
+@pytest.mark.parametrize("cls", [PiecewiseCdf, DeltaProfile])
+@pytest.mark.parametrize("array", ["bounds", "coef", "offset"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_piece_arrays_are_rejected(cls, array, bad):
+    # a valid two-step CDF; one entry of one array is made non-finite
+    pieces = {"bounds": np.array([0.0, 0.5, 1.0]),
+              "coef": np.zeros(2), "offset": np.array([0.5, 1.0])}
+    pieces[array][1 if array == "bounds" else 0] = bad
+    with pytest.raises(ValueError):
+        cls(base=10, **pieces)
 
 
 @given(st.lists(UNIT_FLOATS, min_size=1, max_size=30), st.lists(UNIT_FLOATS, min_size=1, max_size=30))
