@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .summation import _SPAN, spans
+
 __all__ = [
     "ATOM_MERGE_TOL",
     "CircleEmpirical",
@@ -83,7 +85,7 @@ class _PiecewiseBase:
     read-only.  A contiguous float64 array is stored as given, not copied,
     so the caller's own array becomes read-only too.  Copying would hold a
     second set of piece arrays during construction: it raised the peak RSS
-    of a line-only row at base 2, N near 10**7, from 383 MB to 498 MB.
+    of a line-only row at base 2, N = 10**7, from 297 MB to 373 MB.
     Instances compare and hash by identity (``eq=False``): a
     field-wise ``==`` over numpy arrays has no single truth value.
     Subclasses add no fields and no decorator, which would bring the
@@ -101,14 +103,16 @@ class _PiecewiseBase:
         bounds, coef, offset = self.bounds, self.coef, self.offset
         if bounds.ndim != 1 or coef.shape != offset.shape or coef.size != bounds.size - 1:
             raise ValueError("inconsistent piece array shapes")
-        # each test is written so that a NaN fails it
+        # each test is written so that a NaN fails it, and none allocates a
+        # temporary longer than a span of pieces
         if not (bounds.size >= 2 and bounds[0] == 0.0 and bounds[-1] == 1.0):
             raise ValueError("pieces must cover [0, 1)")
-        if not np.all(bounds[1:] > bounds[:-1]):
-            raise ValueError("piece bounds must be strictly increasing")
+        for start, stop in spans(coef.size, _SPAN):
+            if not np.all(bounds[start + 1:stop + 1] > bounds[start:stop]):
+                raise ValueError("piece bounds must be strictly increasing")
         # a NaN or inf anywhere makes the sum of squares non-finite; two dot
-        # products allocate no full-length temporary (values past 1e154 in
-        # magnitude would overflow it too, far outside this family's range)
+        # products allocate no temporary (values past 1e154 in magnitude
+        # would overflow it too, far outside this family's range)
         if not math.isfinite(float(coef @ coef + offset @ offset)):
             raise ValueError("piece coefficients and offsets must be finite")
         _check_base(self.base)
@@ -176,12 +180,23 @@ class PiecewiseCdf(_PiecewiseBase):
 
     def __post_init__(self):
         super().__post_init__()
-        if not np.all(self.coef >= 0.0):
+        coef, offset = self.coef, self.offset
+        if not coef.min() >= 0.0:
             raise ValueError("CDF pieces must be non-decreasing (coef >= 0)")
-        starts, ends = self._piece_values()
-        if not np.all(starts[1:] - ends[:-1] >= -_EDGE_TOL):
-            raise ValueError("negative jump at a piece boundary")
-        if not (starts[0] >= -_EDGE_TOL and abs(ends[-1] - 1.0) <= _EDGE_TOL):
+        exponential = bool(coef.any())  # else coef * b**t adds exactly 0
+        end = -math.inf  # no jump before the first piece
+        for start, stop in spans(coef.size, _SPAN):
+            starts = ends = offset[start:stop]
+            if exponential:
+                a = coef[start:stop]
+                powers = np.power(float(self.base), self.bounds[start:stop + 1])
+                starts, ends = a * powers[:-1] + starts, a * powers[1:] + starts
+            # the span's first jump is from the last end value of the span before
+            if not (starts[0] - end >= -_EDGE_TOL and np.all(starts[1:] - ends[:-1] >= -_EDGE_TOL)):
+                raise ValueError("negative jump at a piece boundary")
+            end = ends[-1]
+        # the first piece starts at b**0 = 1, so its start value is coef + offset
+        if not (coef[0] + offset[0] >= -_EDGE_TOL and abs(end - 1.0) <= _EDGE_TOL):
             raise ValueError("CDF must rise from 0 to a left limit of 1 at t=1")
 
 
@@ -199,8 +214,9 @@ def _as_probe_array(t):
 
 
 def _check_domain(t: np.ndarray, upper_open: bool) -> None:
-    hi_bad = (t >= 1.0) if upper_open else (t > 1.0)
-    if np.any(t < 0.0) or np.any(hi_bad):
+    # written so that a NaN fails it
+    below_top = (t < 1.0) if upper_open else (t <= 1.0)
+    if not (np.all(t >= 0.0) and np.all(below_top)):
         raise ValueError("evaluation point outside the unit circle domain")
 
 
@@ -213,7 +229,7 @@ def build_empirical(positions, base: int) -> CircleEmpirical:
     pos = np.asarray(positions, dtype=np.float64)
     if pos.size == 0:
         raise ValueError("empirical measure needs at least one atom")
-    if np.any(pos < 0.0) or np.any(pos >= 1.0):
+    if not np.all((pos >= 0.0) & (pos < 1.0)):  # a NaN fails it
         raise ValueError("atom positions must lie in [0, 1)")
     return CircleEmpirical(base=base, positions=_frozen(np.sort(pos)))
 
@@ -305,28 +321,24 @@ def rotate_cdf(F: PiecewiseCdf, y: float) -> PiecewiseCdf:
     return PiecewiseCdf(base=F.base, bounds=bounds, coef=coef, offset=offset)
 
 
-def _merge_pieces(f_bounds: np.ndarray, g_bounds: np.ndarray):
-    """Joint refinement of two covers of [0, 1) and each side's piece indices.
+def _merge_pieces(big: np.ndarray, small: np.ndarray):
+    """Joint refinement of two covers of [0, 1): ``small`` merged into ``big``.
 
-    Returns ``(fi, gi, bounds)``: ``bounds`` is the sorted union of both bound
-    arrays, and the joint piece ``k`` lies in piece ``fi[k]`` of the first
-    cover and ``gi[k]`` of the second.  The shorter array is merged into the
-    longer one, so the only search is one per bound of the shorter array.
+    Returns ``(bounds, ins, runs)``.  ``bounds`` is the sorted union of both
+    bound arrays, made by one ``np.insert`` of the bounds of ``small`` that
+    ``big`` lacks at the positions ``ins`` of ``big``.  A new bound splits
+    the piece of ``big`` before it, so an array over the pieces of ``big``
+    refines to ``np.insert(x, ins, x[ins - 1])``.  Piece ``i`` of ``small``
+    covers ``runs[i]`` joint pieces, so an array over its pieces refines to
+    ``np.repeat(y, runs)``.  The only search is one per bound of ``small``,
+    and every index array is as long as ``small``.
     """
-    swap = f_bounds.size < g_bounds.size
-    big, small = (g_bounds, f_bounds) if swap else (f_bounds, g_bounds)
     at = np.searchsorted(big, small)  # big[at - 1] < small <= big[at]
     new = big[at] != small  # both covers end at 1, so at < big.size
+    ins = at[new]
     # small[i] lands after the big bounds below it and the new bounds before it
     landed = at + np.cumsum(new) - new
-    from_big = np.ones(big.size + np.count_nonzero(new), dtype=bool)
-    from_big[landed[new]] = False
-    bounds = np.empty(from_big.size)
-    bounds[from_big] = big
-    bounds[landed] = small
-    big_index = np.cumsum(from_big[:-1]) - 1
-    small_index = np.repeat(np.arange(small.size - 1), np.diff(landed))
-    return (small_index, big_index, bounds) if swap else (big_index, small_index, bounds)
+    return np.insert(big, ins, small[new]), ins, np.diff(landed)
 
 
 def delta_profile(F: PiecewiseCdf, G: PiecewiseCdf) -> DeltaProfile:
@@ -335,15 +347,31 @@ def delta_profile(F: PiecewiseCdf, G: PiecewiseCdf) -> DeltaProfile:
     Constant pieces are base-agnostic; two exponential pieces may only be
     combined when the bases agree.  Every joint piece is kept, also where it
     equals its neighbour.
+
+    The cover with fewer pieces is merged into the other (see
+    ``_merge_pieces``).  ``coef`` and ``offset`` are each the longer side's
+    array refined by an insert minus the shorter side's refined by a
+    repeat, subtracted in place: no gather, and besides the result at most
+    one piece array is alive.  Each joint piece takes the one subtraction
+    ``F.coef[fi] - G.coef[gi]`` would, with ``fi`` and ``gi`` its pieces in
+    F and G, so the bits are those of that gather.
     """
-    f_exp = bool(np.any(F.coef != 0.0))
-    g_exp = bool(np.any(G.coef != 0.0))
+    f_exp = bool(F.coef.any())
+    g_exp = bool(G.coef.any())
     if f_exp and g_exp and F.base != G.base:
         raise ValueError(
             f"cannot difference exponential pieces with bases {F.base} and {G.base}")
     base = F.base if f_exp or not g_exp else G.base
 
-    fi, gi, bounds = _merge_pieces(F.bounds, G.bounds)
-    coef = F.coef[fi] - G.coef[gi]
-    offset = F.offset[fi] - G.offset[gi]
-    return DeltaProfile(base=base, bounds=bounds, coef=coef, offset=offset)
+    swap = F.piece_count < G.piece_count
+    big, small = (G, F) if swap else (F, G)
+    bounds, ins, runs = _merge_pieces(big.bounds, small.bounds)
+
+    def refined_difference(x, y):  # x over the pieces of big, y over small's
+        x = np.insert(x, ins, x[ins - 1])
+        y = np.repeat(y, runs)
+        return np.subtract(y, x, out=y) if swap else np.subtract(x, y, out=x)
+
+    return DeltaProfile(base=base, bounds=bounds,
+                        coef=refined_difference(big.coef, small.coef),
+                        offset=refined_difference(big.offset, small.offset))

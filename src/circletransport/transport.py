@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DeltaProfile, PiecewiseCdf, delta_profile
-from .summation import _BLOCK, block_sums, compensated_sum, spans
+from .summation import _BLOCK, _SPAN, block_sums, compensated_sum, spans
 
 __all__ = [
     "TransportResult",
@@ -74,17 +74,6 @@ class TransportResult:
     offset: float
 
 
-# integral_abs evaluates the pieces in spans of this many, a multiple of the
-# summation block of at least two blocks (see ``summation.spans``).  Its
-# temporaries, 128 KB each, stay in a 2 MB L2 cache.  On a 2-CPU Xeon one
-# call took (fastest to median of seven) at base 2, N = 10^7 (5M pieces),
-# c = 0: 68-95 ms with spans of 2, 4 or 8 blocks, 85-103 ms with 16, 122-142
-# with 64 and 129-203 with 256, against 220-340 ms in one pass over whole
-# arrays; at base 10, N = 10^6 and the median offset: 31-48 ms with 2 to 8
-# blocks, 38-52 with 16 and 60-68 with 64, against 60-74 in one pass.
-_SPAN = 4 * _BLOCK
-
-
 def integral_abs(profile: DeltaProfile, c: float) -> float:
     """Exact value of ``integral_0^1 |delta(t) - c| dt``.
 
@@ -96,42 +85,59 @@ def integral_abs(profile: DeltaProfile, c: float) -> float:
     bounds are the profile's own, computed once per profile.
 
     The pieces are evaluated in the spans of ``_SPAN`` that
-    ``summation.spans`` cuts, so every temporary is span-sized.  The
-    ``block_sums`` of those spans are the whole-length arrays' own, so one
-    ``fsum`` of them has the bits of ``compensated_sum`` over the first
-    parts and over the second parts of all pieces.
+    ``summation.spans`` cuts, and every span-length temporary is a row of
+    one scratch array that the spans share.  The ``block_sums`` of those
+    spans are the whole-length arrays' own, so one ``fsum`` of them has the
+    bits of ``compensated_sum`` over the first parts and over the second
+    parts of all pieces.
     """
     powers = profile._bound_powers()
     bounds, coef, offset = profile.bounds, profile.coef, profile.offset
     log_b = math.log(profile.base)
 
-    # integral of a*b**t + shift over [u, v]; expm1 keeps nearby powers exact
-    def chunk(a, shift, u, pow_u, v):
-        width = v - u
-        return a * pow_u * np.expm1(width * log_b) / log_b + shift * width
+    # |integral of a*b**t + shift over [u, v]|, into out, with width and e
+    # as scratch; expm1 keeps nearby powers exact
+    def chunk(a, shift, u, pow_u, v, out, width, e):
+        np.subtract(v, u, out=width)
+        np.expm1(np.multiply(width, log_b, out=e), out=e)
+        np.multiply(a, pow_u, out=out)
+        out *= e
+        out /= log_b
+        out += np.multiply(shift, width, out=e)
+        return np.abs(out, out=out)
 
+    # a span's temporaries are rows of one array made once per call; a new
+    # set on every span churned the top of the heap, which malloc trimmed
+    # and faulted in again (see ``summation._SPAN``)
+    rows = np.empty((6, min(coef.size, _SPAN + _BLOCK)))
     first, second = [], []
     for start, stop in spans(coef.size, _SPAN):
+        shift, values, part, mid, width, e = rows[:, :stop - start]
         lo, hi = bounds[start:stop], bounds[start + 1:stop + 1]
         pow_lo, pow_hi = powers[start:stop], powers[start + 1:stop + 1]
-        a, shift = coef[start:stop], offset[start:stop] - c
+        a = coef[start:stop]
+        np.subtract(offset[start:stop], c, out=shift)
         t_mid = hi
         # the end values' product is negative only on exponential pieces (a != 0)
-        split = np.flatnonzero((a * pow_lo + shift) * (a * pow_hi + shift) < 0.0)
+        np.add(np.multiply(a, pow_lo, out=values), shift, out=values)
+        values *= np.add(np.multiply(a, pow_hi, out=e), shift, out=e)
+        split = np.flatnonzero(values < 0.0)
         if split.size:
             with np.errstate(divide="ignore", invalid="ignore"):
                 root = np.log(-shift[split] / a[split]) / log_b
             inside = (root > lo[split]) & (root < hi[split])
             split, root = split[inside], root[inside]
-            t_mid = hi.copy()
-            t_mid[split] = root
+            np.copyto(mid, hi)
+            mid[split] = root
+            t_mid = mid
             # summed over all pieces of the span, zeros included, so its blocks
             # are the whole array's; a span without splits would add only zeros
-            parts = np.zeros_like(hi)
-            parts[split] = np.abs(chunk(a[split], shift[split], root,
-                                        np.power(float(profile.base), root), hi[split]))
-            second += block_sums(parts)
-        first += block_sums(np.abs(chunk(a, shift, lo, pow_lo, t_mid)))
+            k = split.size
+            part.fill(0.0)
+            part[split] = chunk(a[split], shift[split], root, np.power(float(profile.base), root),
+                                hi[split], values[:k], width[:k], e[:k])
+            second += block_sums(part)
+        first += block_sums(chunk(a, shift, lo, pow_lo, t_mid, values, width, e))
     return math.fsum(first) + math.fsum(second)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from circletransport import (
     cdf_wrapped_exponential,
     delta_profile,
     rotate_cdf,
+    summation,
 )
-from circletransport.measures import ATOM_MERGE_TOL, DeltaProfile, PiecewiseCdf, _merge_pieces
+from circletransport.logseq import closed_form_cdf, reference_rotation
+from circletransport.measures import ATOM_MERGE_TOL, DeltaProfile, PiecewiseCdf
 from conftest import random_cdf, random_step_cdf
 
 UNIT_FLOATS = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -38,7 +41,7 @@ class TestBuildEmpirical:
         assert m.count == 10
         assert np.count_nonzero(m.positions == 0.0) == 2
 
-    @pytest.mark.parametrize("positions", [[1.0], [-0.1], [0.2, 1.5]])
+    @pytest.mark.parametrize("positions", [[1.0], [-0.1], [0.2, 1.5], [math.nan, 0.5]])
     def test_rejects_positions_outside_unit(self, positions):
         with pytest.raises(ValueError):
             build_empirical(positions, base=10)
@@ -154,6 +157,14 @@ class TestEvalCdf:
             F.value(-0.2)
         with pytest.raises(ValueError):
             F.value(0.5, side="middle")
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_nan_probe_is_outside_the_domain(self, side):
+        F = cdf_wrapped_exponential(10, 0.2)
+        with pytest.raises(ValueError, match="outside the unit circle domain"):
+            F.value(math.nan, side=side)
+        with pytest.raises(ValueError, match="outside the unit circle domain"):
+            F.value(np.array([0.5, math.nan]), side=side)
 
     def test_monotone_and_bounded(self, rng):
         for _ in range(10):
@@ -289,21 +300,40 @@ class TestDeltaProfile:
         F, G = random_cdf(rng), random_cdf(rng)
         assert delta_profile(F, G).value(0.0, side="left") == 0.0
 
+    @staticmethod
+    def _assert_refinement(A, B):
+        # the joint bounds are the sorted union; each joint piece differences
+        # the pieces of A and B that one binary search per joint piece finds
+        d = delta_profile(A, B)
+        union = np.union1d(A.bounds, B.bounds)
+        assert np.array_equal(d.bounds, union)
+        fi = np.searchsorted(A.bounds, union[:-1], side="right") - 1
+        gi = np.searchsorted(B.bounds, union[:-1], side="right") - 1
+        assert d.coef.tobytes() == (A.coef[fi] - B.coef[gi]).tobytes()
+        assert d.offset.tobytes() == (A.offset[fi] - B.offset[gi]).tobytes()
+
     def test_merged_refinement_matches_sorted_union(self, rng):
-        """Merging the shorter cover into the longer one gives the arrays a
-        sorted union and one binary search per joint piece give."""
         for _ in range(40):
             F = random_step_cdf(rng, max_atoms=int(rng.integers(1, 300)))
             shared = rng.choice(F.bounds[1:-1], size=min(5, F.piece_count - 1), replace=False)
             atoms = rng.random(int(rng.integers(1, 300)))
             G = cdf_of_empirical(build_empirical(np.concatenate((atoms, shared)), 10))
-            for A, B in ((F, G), (G, F), (F, cdf_wrapped_exponential(10, float(rng.random())))):
-                fi, gi, bounds = _merge_pieces(A.bounds, B.bounds)
-                union = np.union1d(A.bounds, B.bounds)
-                assert np.array_equal(bounds, union)
-                for k, t in enumerate(union[:-1]):
-                    assert fi[k] == np.searchsorted(A.bounds, t, side="right") - 1
-                    assert gi[k] == np.searchsorted(B.bounds, t, side="right") - 1
+            W = cdf_wrapped_exponential(10, float(rng.random()))
+            for A, B in ((F, G), (G, F), (F, W), (W, F)):
+                self._assert_refinement(A, B)
+
+    def test_long_covers_with_several_new_bounds_in_one_piece(self, rng):
+        # two long covers sharing 20k bounds; B also puts nine bounds inside
+        # one piece of the longer A, so np.insert gets repeated positions
+        A = cdf_of_empirical(build_empirical(rng.random(30_000), 10))
+        k = int(rng.integers(1, A.piece_count - 1))
+        inner = np.linspace(A.bounds[k], A.bounds[k + 1], 11)[1:-1]
+        shared = rng.choice(A.bounds[1:-1], size=20_000, replace=False)
+        B = cdf_of_empirical(build_empirical(
+            np.concatenate((shared, inner, rng.random(500))), 10))
+        assert A.piece_count > B.piece_count >= 20_000
+        for X, Y in ((A, B), (B, A)):
+            self._assert_refinement(X, Y)
 
 
 @pytest.mark.parametrize("cls", [PiecewiseCdf, DeltaProfile])
@@ -326,3 +356,87 @@ def test_delta_identity_property(xs, ys):
     d = delta_profile(F, G)
     probes = np.linspace(0.0, 1.0, 64, endpoint=False)
     assert np.max(np.abs(d.value(probes) - (F.value(probes) - G.value(probes)))) <= 1e-14
+
+
+SPAN = summation._SPAN  # pieces per span of the construction checks
+SPANNED_PIECES = 3 * SPAN + 100  # spans [0, S), [S, 2S), [2S, P)
+# the last piece of the first span, the first two pieces of the second, its
+# last piece and the first piece of the third
+SPAN_EDGE_PIECES = [SPAN - 1, SPAN, SPAN + 1, 2 * SPAN - 1, 2 * SPAN]
+
+
+def _spanned_cdf_arrays(kind="step"):
+    """A valid CDF over three spans of pieces: P equal steps up to 1, or
+    ``(10**t - 1) / 9`` cut into P exponential pieces."""
+    P = SPANNED_PIECES
+    bounds = np.linspace(0.0, 1.0, P + 1)
+    if kind == "step":
+        return {"bounds": bounds, "coef": np.zeros(P), "offset": np.arange(1, P + 1) / P}
+    return {"bounds": bounds, "coef": np.full(P, 1 / 9), "offset": np.full(P, -1 / 9)}
+
+
+def test_spanned_arrays_are_valid():
+    assert [stop for _, stop in summation.spans(SPANNED_PIECES, SPAN)] == [
+        SPAN, 2 * SPAN, SPANNED_PIECES]
+    for cls in (PiecewiseCdf, DeltaProfile):
+        for kind in ("step", "exponential"):
+            assert cls(base=10, **_spanned_cdf_arrays(kind)).piece_count == SPANNED_PIECES
+
+
+@pytest.mark.parametrize("cls", [PiecewiseCdf, DeltaProfile])
+@pytest.mark.parametrize("j", SPAN_EDGE_PIECES)
+def test_span_edge_non_increasing_bound_is_rejected(cls, j):
+    pieces = _spanned_cdf_arrays()
+    pieces["bounds"][j + 1] = pieces["bounds"][j]  # piece j is empty
+    with pytest.raises(ValueError, match="strictly increasing"):
+        cls(base=10, **pieces)
+
+
+@pytest.mark.parametrize("kind", ["step", "exponential"])
+@pytest.mark.parametrize("j", SPAN_EDGE_PIECES)
+def test_span_edge_negative_jump_is_rejected(kind, j):
+    # the jump into piece j; at j = SPAN it straddles the first two spans
+    pieces = _spanned_cdf_arrays(kind)
+    step = 1 / SPANNED_PIECES if kind == "step" else 0.0  # the valid jump into piece j
+    pieces["offset"][j] -= step + 1e-9
+    with pytest.raises(ValueError, match="negative jump"):
+        PiecewiseCdf(base=10, **pieces)
+
+
+@pytest.mark.parametrize("cls", [PiecewiseCdf, DeltaProfile])
+@pytest.mark.parametrize("array", ["bounds", "coef", "offset"])
+@pytest.mark.parametrize("j", SPAN_EDGE_PIECES)
+def test_span_edge_nan_is_rejected(cls, array, j):
+    pieces = _spanned_cdf_arrays()
+    pieces[array][j] = math.nan
+    message = "strictly increasing" if array == "bounds" else "must be finite"
+    with pytest.raises(ValueError, match=message):
+        cls(base=10, **pieces)
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_delta_profile_holds_its_output_and_one_piece_array_at_most():
+    # (2, 10**6): 500k pieces of 4 MB per array; the merge by index arrays
+    # peaked at 24 MB, the result and one operand are 16 MB
+    F = closed_form_cdf(2, 10 ** 6)
+    G = cdf_wrapped_exponential(2, reference_rotation(2, 10 ** 6))
+    d, peak = _traced_peak(delta_profile, F, G)
+    output = d.bounds.nbytes + d.coef.nbytes + d.offset.nbytes
+    assert peak <= output + d.coef.nbytes + 2 ** 16  # 64 KB for small arrays
+
+
+def test_cdf_construction_allocates_span_sized_temporaries():
+    # whole-array checks allocated 8.5 MB here at (2, 10**6)
+    F = closed_form_cdf(2, 10 ** 6)
+    _, peak = _traced_peak(lambda: PiecewiseCdf(base=2, bounds=F.bounds,
+                                                coef=F.coef, offset=F.offset))
+    assert peak <= 2 * 10 ** 6
