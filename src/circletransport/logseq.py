@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import CircleEmpirical, PiecewiseCdf, _check_base, build_empirical
+from .measures import (CircleEmpirical, PiecewiseCdf, _check_base, _sealed, _step_coef,
+                       build_empirical)
 
 __all__ = [
     "LogSequenceSpec",
@@ -155,8 +156,8 @@ def closed_form_cdf(base: int, count: int) -> PiecewiseCdf:
     lo /= top // b
     np.log(bounds[:size], out=bounds[:size])
     bounds[:size] /= log_b
-    return PiecewiseCdf(base=b, bounds=bounds,
-                        coef=np.zeros_like(levels), offset=levels)
+    return PiecewiseCdf(base=b, bounds=_sealed(bounds),
+                        coef=_step_coef(size), offset=_sealed(levels))
 
 
 def significand_count(base: int, count: int, i: int) -> int:

@@ -41,9 +41,39 @@ _EDGE_TOL = 1e-12  # slack for CDF sanity checks (monotone, total mass)
 
 
 def _frozen(a) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=np.float64)
-    out.setflags(write=False)
+    """``a`` as a read-only float64 array that no caller can write.
+
+    A read-only float64 array, contiguous or of stride 0 (one value made
+    long by ``np.broadcast_to``), is kept as given; anything else, a
+    writeable array in particular, is copied.  The builders of this package
+    mark their fresh arrays read-only (``_sealed``), so they pay no copy.
+    """
+    out = np.asarray(a, dtype=np.float64)
+    if out.flags.writeable or not (out.flags.c_contiguous or out.strides == (0,)):
+        out = _sealed(np.array(out))
     return out
+
+
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only: for a fresh array that no one else holds."""
+    a.setflags(write=False)
+    return a
+
+
+_ZERO = _sealed(np.zeros(1))
+
+
+def _step_coef(size: int) -> np.ndarray:
+    """A step CDF's ``coef``: zero on each of ``size`` pieces, as one value
+    of stride 0 (what ``np.broadcast_to(0.0, size)`` makes, at a quarter of
+    its cost per call)."""
+    return np.ndarray((size,), buffer=_ZERO, strides=(0,))
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The values a check of ``a`` must see: an array of stride 0 repeats
+    its first value, so that one stands for all of them."""
+    return a[:1] if a.strides == (0,) else a
 
 
 def _check_base(base) -> int:
@@ -82,12 +112,14 @@ class _PiecewiseBase:
     """Shared piece bookkeeping for CDFs and CDF differences.
 
     Construction validates the base and the piece arrays and stores them
-    read-only.  A contiguous float64 array is stored as given, not copied,
-    so the caller's own array becomes read-only too.  Copying would hold a
-    second set of piece arrays during construction: it raised the peak RSS
-    of a line-only row at base 2, N = 10**7, from 297 MB to 373 MB.
-    Instances compare and hash by identity (``eq=False``): a
-    field-wise ``==`` over numpy arrays has no single truth value.
+    read-only.  A writeable array is copied, so a caller's array keeps its
+    flags and cannot change the instance.  A read-only float64 array,
+    contiguous or of stride 0, is stored as given: the package's builders
+    hand over fresh arrays marked read-only, so a row holds no second set
+    of piece arrays, and a step CDF's zero ``coef`` is one value of stride
+    0, not an array of P zeros.  Instances compare and hash by identity
+    (``eq=False``): a field-wise ``==`` over numpy arrays has no single
+    truth value.
     Subclasses add no fields and no decorator, which would bring the
     generated ``__eq__`` back.
     """
@@ -113,6 +145,7 @@ class _PiecewiseBase:
         # a NaN or inf anywhere makes the sum of squares non-finite; two dot
         # products allocate no temporary (values past 1e154 in magnitude
         # would overflow it too, far outside this family's range)
+        coef, offset = _distinct(coef), _distinct(offset)
         if not math.isfinite(float(coef @ coef + offset @ offset)):
             raise ValueError("piece coefficients and offsets must be finite")
         _check_base(self.base)
@@ -162,7 +195,7 @@ class _PiecewiseBase:
 
     def _piece_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Start values and left limits at the right ends of the pieces."""
-        if not self.coef.any():  # constant pieces: coef * b**t adds exactly 0
+        if not _distinct(self.coef).any():  # constant pieces: coef * b**t adds exactly 0
             values = self.offset + 0.0
             return values, values
         powers = self._bound_powers()
@@ -181,9 +214,9 @@ class PiecewiseCdf(_PiecewiseBase):
     def __post_init__(self):
         super().__post_init__()
         coef, offset = self.coef, self.offset
-        if not coef.min() >= 0.0:
+        if not _distinct(coef).min() >= 0.0:
             raise ValueError("CDF pieces must be non-decreasing (coef >= 0)")
-        exponential = bool(coef.any())  # else coef * b**t adds exactly 0
+        exponential = bool(_distinct(coef).any())  # else coef * b**t adds exactly 0
         end = -math.inf  # no jump before the first piece
         for start, stop in spans(coef.size, _SPAN):
             starts = ends = offset[start:stop]
@@ -231,7 +264,7 @@ def build_empirical(positions, base: int) -> CircleEmpirical:
         raise ValueError("empirical measure needs at least one atom")
     if not np.all((pos >= 0.0) & (pos < 1.0)):  # a NaN fails it
         raise ValueError("atom positions must lie in [0, 1)")
-    return CircleEmpirical(base=base, positions=_frozen(np.sort(pos)))
+    return CircleEmpirical(base=base, positions=_sealed(np.sort(pos)))
 
 
 def cdf_of_empirical(m: CircleEmpirical) -> PiecewiseCdf:
@@ -249,8 +282,8 @@ def cdf_of_empirical(m: CircleEmpirical) -> PiecewiseCdf:
         levels = np.concatenate(([0.0], levels))
     else:
         bounds = np.concatenate((rep, [1.0]))
-    return PiecewiseCdf(base=m.base, bounds=bounds,
-                        coef=np.zeros_like(levels), offset=levels)
+    return PiecewiseCdf(base=m.base, bounds=_sealed(bounds),
+                        coef=_step_coef(levels.size), offset=_sealed(levels))
 
 
 def cdf_wrapped_exponential(base: int, y: float) -> PiecewiseCdf:
@@ -265,15 +298,15 @@ def cdf_wrapped_exponential(base: int, y: float) -> PiecewiseCdf:
     b = float(base)
     if y == 0.0:
         a = 1.0 / (b - 1.0)
-        return PiecewiseCdf(base=base, bounds=np.array([0.0, 1.0]),
-                            coef=np.array([a]), offset=np.array([-a]))
+        return PiecewiseCdf(base=base, bounds=_sealed(np.array([0.0, 1.0])),
+                            coef=_sealed(np.array([a])), offset=_sealed(np.array([-a])))
     by = b ** y
     a1 = by / (b - 1.0)
     return PiecewiseCdf(
         base=base,
-        bounds=np.array([0.0, 1.0 - y, 1.0]),
-        coef=np.array([a1, a1 / b]),
-        offset=np.array([-a1, 1.0 - a1]),
+        bounds=_sealed(np.array([0.0, 1.0 - y, 1.0])),
+        coef=_sealed(np.array([a1, a1 / b])),
+        offset=_sealed(np.array([-a1, 1.0 - a1])),
     )
 
 
@@ -317,28 +350,30 @@ def rotate_cdf(F: PiecewiseCdf, y: float) -> PiecewiseCdf:
     widths = np.diff(bounds)
     keep = widths > 0.0
     bounds = np.concatenate((bounds[:-1][keep], [1.0]))
-    coef, offset = coef[keep], offset[keep]
-    return PiecewiseCdf(base=F.base, bounds=bounds, coef=coef, offset=offset)
+    return PiecewiseCdf(base=F.base, bounds=_sealed(bounds),
+                        coef=_sealed(coef[keep]), offset=_sealed(offset[keep]))
 
 
 def _merge_pieces(big: np.ndarray, small: np.ndarray):
     """Joint refinement of two covers of [0, 1): ``small`` merged into ``big``.
 
-    Returns ``(bounds, ins, runs)``.  ``bounds`` is the sorted union of both
-    bound arrays, made by one ``np.insert`` of the bounds of ``small`` that
-    ``big`` lacks at the positions ``ins`` of ``big``.  A new bound splits
-    the piece of ``big`` before it, so an array over the pieces of ``big``
-    refines to ``np.insert(x, ins, x[ins - 1])``.  Piece ``i`` of ``small``
-    covers ``runs[i]`` joint pieces, so an array over its pieces refines to
-    ``np.repeat(y, runs)``.  The only search is one per bound of ``small``,
-    and every index array is as long as ``small``.
+    Returns ``(bounds, ins, landed)``.  ``bounds`` is the sorted union of
+    both bound arrays, made by one ``np.insert`` of the bounds of ``small``
+    that ``big`` lacks at the positions ``ins`` of ``big``.  A new bound
+    splits the piece of ``big`` before it, so an array over the pieces of
+    ``big`` refines to ``np.insert(x, ins, x[ins - 1])``.  Bound ``i`` of
+    ``small`` lands at ``bounds[landed[i]]``, so piece ``i`` of ``small``
+    covers the joint pieces from ``landed[i]`` up to ``landed[i + 1]``, and
+    an array over its pieces refines to ``np.repeat(y, np.diff(landed))``.
+    The only search is one per bound of ``small``, and every index array is
+    as long as ``small``.
     """
     at = np.searchsorted(big, small)  # big[at - 1] < small <= big[at]
     new = big[at] != small  # both covers end at 1, so at < big.size
     ins = at[new]
     # small[i] lands after the big bounds below it and the new bounds before it
     landed = at + np.cumsum(new) - new
-    return np.insert(big, ins, small[new]), ins, np.diff(landed)
+    return np.insert(big, ins, small[new]), ins, landed
 
 
 def delta_profile(F: PiecewiseCdf, G: PiecewiseCdf) -> DeltaProfile:
@@ -350,14 +385,18 @@ def delta_profile(F: PiecewiseCdf, G: PiecewiseCdf) -> DeltaProfile:
 
     The cover with fewer pieces is merged into the other (see
     ``_merge_pieces``).  ``coef`` and ``offset`` are each the longer side's
-    array refined by an insert minus the shorter side's refined by a
-    repeat, subtracted in place: no gather, and besides the result at most
-    one piece array is alive.  Each joint piece takes the one subtraction
+    array refined by an insert, minus the shorter side's refined by a
+    repeat span by span, in place.  A side of stride 0, such as a step
+    CDF's zero ``coef``, is one value on every joint piece: it is not
+    refined but subtracted as a scalar, and the result is the other side's
+    refinement.  So besides the result only span-sized temporaries are
+    alive.  Each joint piece takes the one subtraction
     ``F.coef[fi] - G.coef[gi]`` would, with ``fi`` and ``gi`` its pieces in
-    F and G, so the bits are those of that gather.
+    F and G, so the bits are those of that gather, down to the sign of
+    every zero.
     """
-    f_exp = bool(F.coef.any())
-    g_exp = bool(G.coef.any())
+    f_exp = bool(_distinct(F.coef).any())
+    g_exp = bool(_distinct(G.coef).any())
     if f_exp and g_exp and F.base != G.base:
         raise ValueError(
             f"cannot difference exponential pieces with bases {F.base} and {G.base}")
@@ -365,13 +404,32 @@ def delta_profile(F: PiecewiseCdf, G: PiecewiseCdf) -> DeltaProfile:
 
     swap = F.piece_count < G.piece_count
     big, small = (G, F) if swap else (F, G)
-    bounds, ins, runs = _merge_pieces(big.bounds, small.bounds)
+    bounds, ins, landed = _merge_pieces(big.bounds, small.bounds)
 
     def refined_difference(x, y):  # x over the pieces of big, y over small's
-        x = np.insert(x, ins, x[ins - 1])
-        y = np.repeat(y, runs)
-        return np.subtract(y, x, out=y) if swap else np.subtract(x, y, out=x)
+        if x.strides == (0,):
+            out = np.repeat(y, np.diff(landed))
+            return np.subtract(out, x[0], out=out) if swap else np.subtract(x[0], out, out=out)
+        out = np.insert(x, ins, x[ins - 1])
+        i = 1  # the piece of small that meets a span first is i - 1
+        for start, stop in spans(out.size, _SPAN):
+            # pieces i - 1 to j - 1 of small meet the span; cut them to it
+            j = landed.searchsorted(stop, side="right")
+            edges = landed[i - 1:j + 1].copy()
+            edges[0], edges[-1] = start, stop
+            part = np.repeat(y[i - 1:j], edges[1:] - edges[:-1])
+            joint = out[start:stop]
+            np.subtract(part, joint, out=joint) if swap else np.subtract(joint, part, out=joint)
+            i = j
+        return out
 
-    return DeltaProfile(base=base, bounds=bounds,
-                        coef=refined_difference(big.coef, small.coef),
-                        offset=refined_difference(big.offset, small.offset))
+    # DeltaProfile(...) would check again what holds by construction: the
+    # joint bounds are the union of two valid covers, and differences of
+    # finite values (below 1e154, see _PiecewiseBase) are finite
+    profile = object.__new__(DeltaProfile)
+    object.__setattr__(profile, "base", base)
+    object.__setattr__(profile, "bounds", _sealed(bounds))
+    for name in ("coef", "offset"):
+        value = refined_difference(getattr(big, name), getattr(small, name))
+        object.__setattr__(profile, name, _sealed(value))
+    return profile

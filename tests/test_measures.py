@@ -313,13 +313,19 @@ class TestDeltaProfile:
         assert d.offset.tobytes() == (A.offset[fi] - B.offset[gi]).tobytes()
 
     def test_merged_refinement_matches_sorted_union(self, rng):
+        # a short cover of constant and exponential pieces: its zero coef
+        # pieces against a step CDF's zeros pin the sign of each joint zero
+        c = 0.3 / (10 ** 0.6 - 10 ** 0.3)
+        mixed = PiecewiseCdf(base=10, bounds=np.array([0.0, 0.3, 0.6, 1.0]),
+                             coef=np.array([0.0, c, 0.0]),
+                             offset=np.array([0.1, 0.2 - c * 10 ** 0.3, 1.0]))
         for _ in range(40):
             F = random_step_cdf(rng, max_atoms=int(rng.integers(1, 300)))
             shared = rng.choice(F.bounds[1:-1], size=min(5, F.piece_count - 1), replace=False)
             atoms = rng.random(int(rng.integers(1, 300)))
             G = cdf_of_empirical(build_empirical(np.concatenate((atoms, shared)), 10))
             W = cdf_wrapped_exponential(10, float(rng.random()))
-            for A, B in ((F, G), (G, F), (F, W), (W, F)):
+            for A, B in ((F, G), (G, F), (F, W), (W, F), (F, mixed), (mixed, F)):
                 self._assert_refinement(A, B)
 
     def test_long_covers_with_several_new_bounds_in_one_piece(self, rng):
@@ -337,13 +343,17 @@ class TestDeltaProfile:
 
 
 @pytest.mark.parametrize("cls", [PiecewiseCdf, DeltaProfile])
-@pytest.mark.parametrize("array", ["bounds", "coef", "offset"])
+@pytest.mark.parametrize("array", ["bounds", "coef", "offset", "broadcast coef"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_piece_arrays_are_rejected(cls, array, bad):
-    # a valid two-step CDF; one entry of one array is made non-finite
+    # a valid two-step CDF; one entry of one array is made non-finite, or
+    # coef is one non-finite value of stride 0
     pieces = {"bounds": np.array([0.0, 0.5, 1.0]),
               "coef": np.zeros(2), "offset": np.array([0.5, 1.0])}
-    pieces[array][1 if array == "bounds" else 0] = bad
+    if array == "broadcast coef":
+        pieces["coef"] = np.broadcast_to(bad, 2)
+    else:
+        pieces[array][1 if array == "bounds" else 0] = bad
     with pytest.raises(ValueError):
         cls(base=10, **pieces)
 
@@ -378,9 +388,10 @@ def _spanned_cdf_arrays(kind="step"):
 def test_spanned_arrays_are_valid():
     assert [stop for _, stop in summation.spans(SPANNED_PIECES, SPAN)] == [
         SPAN, 2 * SPAN, SPANNED_PIECES]
+    broadcast = {**_spanned_cdf_arrays(), "coef": np.broadcast_to(0.0, SPANNED_PIECES)}
     for cls in (PiecewiseCdf, DeltaProfile):
-        for kind in ("step", "exponential"):
-            assert cls(base=10, **_spanned_cdf_arrays(kind)).piece_count == SPANNED_PIECES
+        for pieces in (_spanned_cdf_arrays(), _spanned_cdf_arrays("exponential"), broadcast):
+            assert cls(base=10, **pieces).piece_count == SPANNED_PIECES
 
 
 @pytest.mark.parametrize("cls", [PiecewiseCdf, DeltaProfile])
@@ -414,29 +425,49 @@ def test_span_edge_nan_is_rejected(cls, array, j):
         cls(base=10, **pieces)
 
 
-def _traced_peak(fn, *args):
-    """``fn(*args)`` and the peak of the memory it allocated while it ran."""
+def _traced(fn, *args):
+    """``fn(*args)``, the memory it left allocated and the peak while it ran."""
     tracemalloc.start()
     try:
         out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1]
+        return (out, *tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
 
 
-def test_delta_profile_holds_its_output_and_one_piece_array_at_most():
-    # (2, 10**6): 500k pieces of 4 MB per array; the merge by index arrays
-    # peaked at 24 MB, the result and one operand are 16 MB
+def test_delta_profile_allocates_no_piece_array_besides_its_output():
+    # (2, 10**6): 500k pieces of 4 MB per array, an output of 12.0 MB.
+    # Besides it only np.insert's mask of one byte a piece and span-sized
+    # temporaries are allowed (12.5 MB in all); a repeat over all pieces,
+    # or a refined zero coef, would add 4 MB
     F = closed_form_cdf(2, 10 ** 6)
     G = cdf_wrapped_exponential(2, reference_rotation(2, 10 ** 6))
-    d, peak = _traced_peak(delta_profile, F, G)
+    d, _, peak = _traced(delta_profile, F, G)
     output = d.bounds.nbytes + d.coef.nbytes + d.offset.nbytes
-    assert peak <= output + d.coef.nbytes + 2 ** 16  # 64 KB for small arrays
+    assert peak <= output + d.piece_count + 4 * SPAN * 8
+
+
+def test_closed_form_cdf_keeps_only_bounds_and_offset():
+    # a step CDF's coef is one zero of stride 0: 8.0 MB at (2, 10**6), not 12
+    F, retained, _ = _traced(closed_form_cdf, 2, 10 ** 6)
+    assert F.coef.strides == (0,)
+    assert retained <= F.bounds.nbytes + F.offset.nbytes + 2 ** 16
 
 
 def test_cdf_construction_allocates_span_sized_temporaries():
     # whole-array checks allocated 8.5 MB here at (2, 10**6)
     F = closed_form_cdf(2, 10 ** 6)
-    _, peak = _traced_peak(lambda: PiecewiseCdf(base=2, bounds=F.bounds,
-                                                coef=F.coef, offset=F.offset))
+    _, _, peak = _traced(lambda: PiecewiseCdf(base=2, bounds=F.bounds,
+                                              coef=F.coef, offset=F.offset))
     assert peak <= 2 * 10 ** 6
+
+
+def test_writeable_arrays_are_copied_and_read_only_ones_kept():
+    a = np.array([0.0, 1.0])
+    F = PiecewiseCdf(base=10, bounds=a, coef=np.zeros(1), offset=np.ones(1))
+    assert a.flags.writeable and not F.bounds.flags.writeable
+    a[1] = 0.5  # the caller's array is the caller's again
+    assert F.bounds[1] == 1.0
+    G = closed_form_cdf(10, 1000)  # fresh read-only arrays, stored as given
+    H = PiecewiseCdf(base=10, bounds=G.bounds, coef=G.coef, offset=G.offset)
+    assert H.bounds is G.bounds and H.coef is G.coef and H.offset is G.offset

@@ -1,0 +1,160 @@
+"""Per-layer times and peak memory of metrics rows, written as one column of
+a ``BENCH_*.json`` file.
+
+    PYTHONPATH=src python tools/bench_layers.py --column NAME --out BENCH_11.json
+    PYTHONPATH=src python tools/bench_layers.py --points 2:10000:line --repeats 1
+
+Each point ``base:N:metrics`` (``metrics`` is ``line`` or ``both``) runs in
+a fresh interpreter.  It first computes one row with ``compute_metrics`` and
+reads the process's peak RSS (``ru_maxrss``), so ``peak_rss_mb`` is that of
+one row plus the imports.  Then it calls the layers the way
+``compute_metrics`` calls them, ``--repeats`` times, and times each call:
+``closed_form_cdf``, ``cdf_wrapped_exponential``, ``delta_profile``,
+``integral_abs`` at c = 0 (line), ``median_offset`` and ``integral_abs`` at
+the offset (circle).  A whole ``compute_metrics`` row is timed as often.
+Every time is the median of the repeats, in seconds.
+
+The column goes into ``--out`` under ``--column``; other columns already in
+the file are kept, so two trees (say a parent commit and a change, each put
+first on ``PYTHONPATH``) fill two columns of one file.  Each point is also
+printed as one JSON line when it is done.  The program is imported from ``PYTHONPATH``, so
+the script measures whichever tree that names.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+
+DEFAULT_POINTS = ["2:100000:line", "2:1000000:line", "2:10000000:line",
+                  "10:100000:both", "10:1000000:both"]
+CHILD_TIMEOUT_S = 600
+
+
+def measure_point(base: int, N: int, metrics: str, repeats: int) -> dict:
+    """One point, measured in this process: call it in a fresh one."""
+    from circletransport.harness import compute_metrics
+    from circletransport.logseq import closed_form_cdf, reference_rotation
+    from circletransport.measures import cdf_wrapped_exponential, delta_profile
+    from circletransport.transport import integral_abs, median_offset
+
+    which = ("line",) if metrics == "line" else ("line", "circle")
+    compute_metrics(base, N, which)
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+    times: dict[str, list[float]] = {}
+
+    def timed(name, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        times.setdefault(name, []).append(time.perf_counter() - start)
+        return out
+
+    for _ in range(repeats):
+        F = timed("closed_form_cdf", closed_form_cdf, base, N)
+        G = timed("cdf_wrapped_exponential", cdf_wrapped_exponential,
+                  base, reference_rotation(base, N))
+        profile = timed("delta_profile", delta_profile, F, G)
+        del F, G  # as in compute_metrics, only the profile outlives the merge
+        timed("integral_abs_line", integral_abs, profile, 0.0)
+        if "circle" in which:
+            c = timed("median_offset", median_offset, profile)
+            timed("integral_abs_circle", integral_abs, profile, c)
+        pieces = profile.piece_count
+        del profile
+        timed("row", compute_metrics, base, N, which)
+    return {"base": base, "N": N, "metrics": list(which), "pieces": pieces,
+            "peak_rss_mb": round(peak_rss_mb, 1),
+            "row_s": statistics.median(times.pop("row")),
+            "layers_s": {name: statistics.median(v) for name, v in times.items()}}
+
+
+def parse_point(text: str) -> tuple[int, int, str]:
+    """``base:N:metrics``; N may be written as 1e6."""
+    try:
+        base, N, metrics = text.split(":")
+        point = int(base), int(float(N)), metrics
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected base:N:line|both, got {text!r}") from None
+    if metrics not in ("line", "both"):
+        raise argparse.ArgumentTypeError(f"metrics must be line or both, got {metrics!r}")
+    return point
+
+
+def child_env() -> dict:
+    env = dict(os.environ)
+    # numpy's BLAS pool would add threads that no layer uses
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def machine() -> dict:
+    import numpy as np
+
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu = next(line.split(":", 1)[1].strip() for line in f
+                       if line.startswith("model name"))
+    except (OSError, StopIteration):
+        cpu = platform.processor()
+    return {"nproc": os.cpu_count(), "cpu": cpu, "python": platform.python_version(),
+            "numpy": np.__version__}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--points", nargs="+", type=parse_point,
+                        default=[parse_point(p) for p in DEFAULT_POINTS],
+                        help="base:N:line|both, one fresh process each")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--column", default="this tree")
+    parser.add_argument("--out", help="JSON file to add the column to")
+    parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+
+    if args.one:  # the child: one point, printed as JSON
+        (point,) = args.points
+        print(json.dumps(measure_point(*point, args.repeats)))
+        return 0
+
+    results = []
+    for point in args.points:
+        text = ":".join(map(str, point))
+        done = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--one", "--points", text,
+             "--repeats", str(args.repeats)],
+            env=child_env(), capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
+        if done.returncode != 0:
+            sys.stderr.write(done.stderr)
+            print(f"error: point {text} failed", file=sys.stderr)
+            return 1
+        results.append(json.loads(done.stdout))
+        print(json.dumps(results[-1]), flush=True)
+
+    column = {"machine": machine(), "repeats": args.repeats, "points": results}
+    if args.out:
+        data = {"about": "tools/bench_layers.py: per point, peak_rss_mb of one row in a "
+                         "fresh process and medians in seconds of the layers and of a row",
+                "columns": {}}
+        if os.path.exists(args.out):
+            with open(args.out) as f:
+                data = json.load(f)
+        data["columns"][args.column] = column
+        with open(args.out, "w") as f:
+            json.dump(data, f, indent=1)
+            f.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
