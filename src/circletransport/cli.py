@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import harness, oracle
@@ -12,10 +11,14 @@ _ORACLE_TOL = 1e-9
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-min", type=int, default=100)
-    p.add_argument("--n-max", type=int, default=10 ** 6)
-    p.add_argument("--points-per-decade", type=int, default=4)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    # a flag left out is absent from the namespace, so SweepConfig's default applies
+    for flag in ("--n-min", "--n-max", "--points-per-decade", "--threads"):
+        p.add_argument(flag, type=int, default=argparse.SUPPRESS)
+
+
+def _sweep_config(args) -> harness.SweepConfig:
+    """The ``SweepConfig`` of the flags given to ``sweep`` or ``verify``."""
+    return harness.SweepConfig(**{k: v for k, v in vars(args).items() if k != "command"})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,20 +69,13 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = harness.SweepConfig(
-        base=args.base, n_min=args.n_min, n_max=args.n_max,
-        points_per_decade=args.points_per_decade, out=args.out,
-        threads=args.threads)
-    rows = harness.run_sweep(cfg)
+    rows = harness.run_sweep(_sweep_config(args))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    cfg = harness.SweepConfig(
-        base=args.base, n_min=args.n_min, n_max=args.n_max,
-        points_per_decade=args.points_per_decade, threads=args.threads)
-    report = harness.verify(cfg)
+    report = harness.verify(_sweep_config(args))
     for line in report.lines:
         print(line)
     print("verification " + ("PASSED" if report.passed else "FAILED"))

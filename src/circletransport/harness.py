@@ -249,9 +249,10 @@ def verify(cfg: SweepConfig) -> VerificationReport:
     Exit codes: 0 all hard checks pass, 1 a hard check fails, 2 the grid is
     too small to be meaningful.
     """
-    if cfg.n_max < 1000:
+    if max(decade_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade), default=0) < 1000:
         return VerificationReport(
-            checks=[("FAIL", "grid", f"insufficient range: n_max={cfg.n_max} < 1000")],
+            checks=[("FAIL", "grid", f"insufficient range: no grid point N >= 1000 "
+                                     f"in [{cfg.n_min}, {cfg.n_max}]")],
             exit_code=2)
     rows = run_sweep(cfg)
     gated = [r for r in rows if r.N >= 1000]

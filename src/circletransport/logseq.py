@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import (CircleEmpirical, PiecewiseCdf, _check_base, _sealed, _step_coef,
-                       build_empirical)
+from .measures import CircleEmpirical, PiecewiseCdf, _check_base, _step_cdf, build_empirical
 
 __all__ = [
     "LogSequenceSpec",
@@ -156,8 +155,7 @@ def closed_form_cdf(base: int, count: int) -> PiecewiseCdf:
     lo /= top // b
     np.log(bounds[:size], out=bounds[:size])
     bounds[:size] /= log_b
-    return PiecewiseCdf(base=b, bounds=_sealed(bounds),
-                        coef=_step_coef(size), offset=_sealed(levels))
+    return _step_cdf(b, bounds, levels)
 
 
 def significand_count(base: int, count: int, i: int) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .summation import _SPAN, spans
+from .summation import spans
 
 __all__ = [
     "ATOM_MERGE_TOL",
@@ -58,16 +58,6 @@ def _sealed(a: np.ndarray) -> np.ndarray:
     """``a``, marked read-only: for a fresh array that no one else holds."""
     a.setflags(write=False)
     return a
-
-
-_ZERO = _sealed(np.zeros(1))
-
-
-def _step_coef(size: int) -> np.ndarray:
-    """A step CDF's ``coef``: zero on each of ``size`` pieces, as one value
-    of stride 0 (what ``np.broadcast_to(0.0, size)`` makes, at a quarter of
-    its cost per call)."""
-    return np.ndarray((size,), buffer=_ZERO, strides=(0,))
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -139,7 +129,7 @@ class _PiecewiseBase:
         # temporary longer than a span of pieces
         if not (bounds.size >= 2 and bounds[0] == 0.0 and bounds[-1] == 1.0):
             raise ValueError("pieces must cover [0, 1)")
-        for start, stop in spans(coef.size, _SPAN):
+        for start, stop in spans(coef.size):
             if not np.all(bounds[start + 1:stop + 1] > bounds[start:stop]):
                 raise ValueError("piece bounds must be strictly increasing")
         # a NaN or inf anywhere makes the sum of squares non-finite; two dot
@@ -195,9 +185,6 @@ class _PiecewiseBase:
 
     def _piece_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Start values and left limits at the right ends of the pieces."""
-        if not _distinct(self.coef).any():  # constant pieces: coef * b**t adds exactly 0
-            values = self.offset + 0.0
-            return values, values
         powers = self._bound_powers()
         return (self.coef * powers[:-1] + self.offset,
                 self.coef * powers[1:] + self.offset)
@@ -218,7 +205,7 @@ class PiecewiseCdf(_PiecewiseBase):
             raise ValueError("CDF pieces must be non-decreasing (coef >= 0)")
         exponential = bool(_distinct(coef).any())  # else coef * b**t adds exactly 0
         end = -math.inf  # no jump before the first piece
-        for start, stop in spans(coef.size, _SPAN):
+        for start, stop in spans(coef.size):
             starts = ends = offset[start:stop]
             if exponential:
                 a = coef[start:stop]
@@ -267,6 +254,21 @@ def build_empirical(positions, base: int) -> CircleEmpirical:
     return CircleEmpirical(base=base, positions=_sealed(np.sort(pos)))
 
 
+_ZERO = _sealed(np.zeros(1))
+
+
+def _step_cdf(base: int, bounds: np.ndarray, levels: np.ndarray) -> PiecewiseCdf:
+    """The step CDF taking ``levels`` on the pieces between ``bounds``.
+
+    Both arrays are fresh and held by no one else: they are sealed, not
+    copied.  The ``coef`` is zero on every piece as one value of stride 0
+    (what ``np.broadcast_to(0.0, size)`` makes, at a quarter of its cost
+    per call).
+    """
+    coef = np.ndarray((levels.size,), buffer=_ZERO, strides=(0,))
+    return PiecewiseCdf(base=base, bounds=_sealed(bounds), coef=coef, offset=_sealed(levels))
+
+
 def cdf_of_empirical(m: CircleEmpirical) -> PiecewiseCdf:
     """Pure step CDF of an empirical measure; jump at each distinct atom.
 
@@ -282,8 +284,7 @@ def cdf_of_empirical(m: CircleEmpirical) -> PiecewiseCdf:
         levels = np.concatenate(([0.0], levels))
     else:
         bounds = np.concatenate((rep, [1.0]))
-    return PiecewiseCdf(base=m.base, bounds=_sealed(bounds),
-                        coef=_step_coef(levels.size), offset=_sealed(levels))
+    return _step_cdf(m.base, bounds, levels)
 
 
 def cdf_wrapped_exponential(base: int, y: float) -> PiecewiseCdf:
@@ -354,28 +355,6 @@ def rotate_cdf(F: PiecewiseCdf, y: float) -> PiecewiseCdf:
                         coef=_sealed(coef[keep]), offset=_sealed(offset[keep]))
 
 
-def _merge_pieces(big: np.ndarray, small: np.ndarray):
-    """Joint refinement of two covers of [0, 1): ``small`` merged into ``big``.
-
-    Returns ``(bounds, ins, landed)``.  ``bounds`` is the sorted union of
-    both bound arrays, made by one ``np.insert`` of the bounds of ``small``
-    that ``big`` lacks at the positions ``ins`` of ``big``.  A new bound
-    splits the piece of ``big`` before it, so an array over the pieces of
-    ``big`` refines to ``np.insert(x, ins, x[ins - 1])``.  Bound ``i`` of
-    ``small`` lands at ``bounds[landed[i]]``, so piece ``i`` of ``small``
-    covers the joint pieces from ``landed[i]`` up to ``landed[i + 1]``, and
-    an array over its pieces refines to ``np.repeat(y, np.diff(landed))``.
-    The only search is one per bound of ``small``, and every index array is
-    as long as ``small``.
-    """
-    at = np.searchsorted(big, small)  # big[at - 1] < small <= big[at]
-    new = big[at] != small  # both covers end at 1, so at < big.size
-    ins = at[new]
-    # small[i] lands after the big bounds below it and the new bounds before it
-    landed = at + np.cumsum(new) - new
-    return np.insert(big, ins, small[new]), ins, landed
-
-
 def delta_profile(F: PiecewiseCdf, G: PiecewiseCdf) -> DeltaProfile:
     """Difference profile ``t -> F(t) - G(t)`` on the joint piece refinement.
 
@@ -383,13 +362,23 @@ def delta_profile(F: PiecewiseCdf, G: PiecewiseCdf) -> DeltaProfile:
     combined when the bases agree.  Every joint piece is kept, also where it
     equals its neighbour.
 
-    The cover with fewer pieces is merged into the other (see
-    ``_merge_pieces``).  ``coef`` and ``offset`` are each the longer side's
-    array refined by an insert, minus the shorter side's refined by a
-    repeat span by span, in place.  A side of stride 0, such as a step
-    CDF's zero ``coef``, is one value on every joint piece: it is not
-    refined but subtracted as a scalar, and the result is the other side's
-    refinement.  So besides the result only span-sized temporaries are
+    The bounds of G are merged into those of F, whichever cover is longer:
+    a row's F has N - floor(N/b) pieces and its G one or two.  The joint
+    bounds are made by one ``np.insert`` of the bounds of G that F lacks,
+    at the positions ``ins`` of F.  A new bound splits the piece of F
+    before it, so an array over the pieces of F refines to
+    ``np.insert(x, ins, x[ins - 1])``.  Bound ``i`` of G lands at
+    ``bounds[landed[i]]``, so piece ``i`` of G covers the joint pieces from
+    ``landed[i]`` up to ``landed[i + 1]``, and an array over its pieces
+    refines to ``np.repeat(y, np.diff(landed))``.  The only search is one
+    per bound of G, and every index array is as long as G's bounds.
+
+    ``coef`` and ``offset`` are each F's array refined by the insert, minus
+    G's refined by the repeat span by span, in place.  An array of F of
+    stride 0, such as a step CDF's zero ``coef``, is one value on every
+    joint piece: it is not refined, and the result is that value minus
+    G's whole refinement, in the refinement's place.  So besides the result
+    and the index arrays over G's bounds only span-sized temporaries are
     alive.  Each joint piece takes the one subtraction
     ``F.coef[fi] - G.coef[gi]`` would, with ``fi`` and ``gi`` its pieces in
     F and G, so the bits are those of that gather, down to the sign of
@@ -402,24 +391,26 @@ def delta_profile(F: PiecewiseCdf, G: PiecewiseCdf) -> DeltaProfile:
             f"cannot difference exponential pieces with bases {F.base} and {G.base}")
     base = F.base if f_exp or not g_exp else G.base
 
-    swap = F.piece_count < G.piece_count
-    big, small = (G, F) if swap else (F, G)
-    bounds, ins, landed = _merge_pieces(big.bounds, small.bounds)
+    at = np.searchsorted(F.bounds, G.bounds)  # F.bounds[at - 1] < G.bounds <= F.bounds[at]
+    new = F.bounds[at] != G.bounds  # both covers end at 1, so at < F.bounds.size
+    ins = at[new]
+    # bound i of G lands after the bounds of F below it and the new bounds before it
+    landed = at + np.cumsum(new) - new
+    bounds = np.insert(F.bounds, ins, G.bounds[new])
 
-    def refined_difference(x, y):  # x over the pieces of big, y over small's
+    def refined_difference(x, y):  # x over the pieces of F, y over G's
         if x.strides == (0,):
             out = np.repeat(y, np.diff(landed))
-            return np.subtract(out, x[0], out=out) if swap else np.subtract(x[0], out, out=out)
+            return np.subtract(x[0], out, out=out)
         out = np.insert(x, ins, x[ins - 1])
-        i = 1  # the piece of small that meets a span first is i - 1
-        for start, stop in spans(out.size, _SPAN):
-            # pieces i - 1 to j - 1 of small meet the span; cut them to it
+        i = 1  # the piece of G that meets a span first is i - 1
+        for start, stop in spans(out.size):
+            # pieces i - 1 to j - 1 of G meet the span; cut them to it
             j = landed.searchsorted(stop, side="right")
             edges = landed[i - 1:j + 1].copy()
             edges[0], edges[-1] = start, stop
-            part = np.repeat(y[i - 1:j], edges[1:] - edges[:-1])
             joint = out[start:stop]
-            np.subtract(part, joint, out=joint) if swap else np.subtract(joint, part, out=joint)
+            np.subtract(joint, np.repeat(y[i - 1:j], edges[1:] - edges[:-1]), out=joint)
             i = j
         return out
 
@@ -430,6 +421,6 @@ def delta_profile(F: PiecewiseCdf, G: PiecewiseCdf) -> DeltaProfile:
     object.__setattr__(profile, "base", base)
     object.__setattr__(profile, "bounds", _sealed(bounds))
     for name in ("coef", "offset"):
-        value = refined_difference(getattr(big, name), getattr(small, name))
+        value = refined_difference(getattr(F, name), getattr(G, name))
         object.__setattr__(profile, name, _sealed(value))
     return profile

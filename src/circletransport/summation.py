@@ -58,15 +58,15 @@ def compensated_sum(values) -> float:
     return math.fsum(block_sums(values))
 
 
-def spans(size: int, span: int) -> Iterable[tuple[int, int]]:
-    """``(start, stop)`` pairs cutting ``range(size)`` into spans of ``span``
-    whose ``block_sums`` together are those of the whole range.
+def spans(size: int) -> Iterable[tuple[int, int]]:
+    """``(start, stop)`` pairs cutting ``range(size)`` into spans of
+    ``_SPAN`` whose ``block_sums`` together are those of the whole range.
 
-    ``span`` is a multiple of ``_BLOCK`` of at least two blocks.  Spans
-    start at multiples of ``span``, and a remainder of at most ``_BLOCK``
+    ``_SPAN`` is a multiple of ``_BLOCK`` of at least two blocks.  Spans
+    start at multiples of ``_SPAN``, and a remainder of at most ``_BLOCK``
     joins the span before it.  So every span holds more than ``_BLOCK``
     values unless it is the whole range: a span of at most ``_BLOCK`` is
     fsummed as it stands, where the whole array reduces it pairwise.
     """
-    starts = range(0, max(size - _BLOCK, 1), span)
+    starts = range(0, max(size - _BLOCK, 1), _SPAN)
     return zip(starts, [*starts[1:], size])

@@ -111,7 +111,7 @@ def integral_abs(profile: DeltaProfile, c: float) -> float:
     # and faulted in again (see ``summation._SPAN``)
     rows = np.empty((6, min(coef.size, _SPAN + _BLOCK)))
     first, second = [], []
-    for start, stop in spans(coef.size, _SPAN):
+    for start, stop in spans(coef.size):
         shift, values, part, mid, width, e = rows[:, :stop - start]
         lo, hi = bounds[start:stop], bounds[start + 1:stop + 1]
         pow_lo, pow_hi = powers[start:stop], powers[start + 1:stop + 1]

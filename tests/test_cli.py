@@ -74,13 +74,23 @@ class TestSweep:
         assert code == 2
         assert "error" in err
 
+    def test_flags_left_out_take_the_config_defaults(self, capsys, monkeypatch, tmp_path):
+        passed = []
+        monkeypatch.setattr(harness, "run_sweep", lambda cfg: passed.append(cfg) or [])
+        out_file = str(tmp_path / "rows.csv")
+        code, _, _ = run_cli(capsys, "sweep", "--base", "10", "--out", out_file)
+        assert code == 0
+        assert passed == [harness.SweepConfig(base=10, out=out_file)]
+
 
 class TestVerify:
     def test_insufficient_range_exits_2(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--base", "10",
-                               "--n-min", "100", "--n-max", "500")
-        assert code == 2
-        assert "insufficient range" in out
+        # n_max below 1000, and a grid with no point at all in [1001, 1005]
+        for n_min, n_max in [("100", "500"), ("1001", "1005")]:
+            code, out, _ = run_cli(capsys, "verify", "--base", "10",
+                                   "--n-min", n_min, "--n-max", n_max)
+            assert code == 2
+            assert "insufficient range" in out
 
     def test_small_grid_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--base", "10",

@@ -185,9 +185,11 @@ class TestPhaseClasses:
 
 class TestVerify:
     def test_insufficient_range(self):
-        report = verify(SweepConfig(base=10, n_min=100, n_max=900))
-        assert report.exit_code == 2
-        assert any("insufficient range" in line for line in report.lines)
+        # n_max below 1000, and a grid with no point at all in [1001, 1005]
+        for n_min, n_max in [(100, 900), (1001, 1005)]:
+            report = verify(SweepConfig(base=10, n_min=n_min, n_max=n_max))
+            assert report.exit_code == 2
+            assert any("insufficient range" in line for line in report.lines)
 
     def test_small_grid_passes(self):
         report = verify(SweepConfig(base=10, n_min=1000, n_max=10 ** 5,

@@ -386,7 +386,7 @@ def _spanned_cdf_arrays(kind="step"):
 
 
 def test_spanned_arrays_are_valid():
-    assert [stop for _, stop in summation.spans(SPANNED_PIECES, SPAN)] == [
+    assert [stop for _, stop in summation.spans(SPANNED_PIECES)] == [
         SPAN, 2 * SPAN, SPANNED_PIECES]
     broadcast = {**_spanned_cdf_arrays(), "coef": np.broadcast_to(0.0, SPANNED_PIECES)}
     for cls in (PiecewiseCdf, DeltaProfile):
