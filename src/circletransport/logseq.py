@@ -22,7 +22,6 @@ __all__ = [
     "frac_log",
     "build_nu",
     "closed_form_cdf",
-    "significand_count",
     "reference_rotation",
 ]
 
@@ -36,10 +35,9 @@ class LogSequenceSpec:
 
     This is the engine's validity envelope: an integer base b >= 2, and at
     most the largest n digits with b**(n+1) <= 2**63 - 1 (17 in base 10, 61
-    in base 2).  The bound is int64 because ``closed_form_cdf`` and
-    ``build_nu`` hold the integers up to N and the powers of b up to b**n in
-    int64 arrays and sum ``floor(i / b**j)`` there; the guard keeps one more
-    power of b as headroom.  Past it the counts would wrap around silently.
+    in base 2).  The bound is int64 because ``build_nu`` holds the integers
+    up to N and the powers of b up to b**n in int64 arrays; the guard keeps
+    one more power of b as headroom.  Past it they would wrap around silently.
     """
 
     base: int
@@ -103,51 +101,40 @@ def build_nu(base: int, count: int) -> CircleEmpirical:
 
 
 def closed_form_cdf(base: int, count: int) -> PiecewiseCdf:
-    """Step CDF of ``build_nu(base, count)`` from exact integer digit sums.
+    """Step CDF of ``build_nu(base, count)`` by running jump counts.
 
-    The level just right of the breakpoint at the fractional log of an
-    n-digit integer i is the exact count of k <= N sharing a mantissa
-    <= i / b**(n-1), which is ``n + S(i) - sum_j b**(n-1-j)`` with the
-    digit sum ``S(i) = sum_j floor(i / b**j)`` over j = 0..n-1; the
-    (n-1)-digit integers i > N / b wrap around and add N.  Consecutive
-    digit sums differ by ``S(i) - S(i-1) = #{j >= 0 : b**j divides i}``,
-    so S over the whole range i = floor(N/b)+1..N is one exact sum at its
-    start, one strided increment per power of b (about P b / (b-1) element
-    updates over P pieces) and one cumulative sum: the work is O(N).  The
-    same path serves N < b, where the wrapped block is empty.
+    Its pieces start at the fractional logs of the n-digit integers
+    i = b**(n-1)..N, then at those of the (n-1)-digit i = floor(N/b)+1 ..
+    b**(n-1)-1, whose mantissas wrap around.  The CDF jumps at the mantissa
+    of i by the number of k <= N sharing it, namely i, i/b, i/b**2, ...
+    while b divides: 1 + v_b(i).  So each level is a running sum of ones
+    plus one more at each multiple of each power b**j <= N, divided by N:
+    O(N) work.  The sums are integer-valued floats, exact below 2**53 like
+    the bounds' running sum below, so each ``k / N`` is the exact count's.
     """
     spec = LogSequenceSpec(base, count)
     b, N, n = spec.base, spec.count, spec.digits
     top = b ** (n - 1)  # the first n-digit integer
     first = N // b + 1  # the first (n-1)-digit integer whose block wraps
-    wrapped = top - first  # pieces of the wrapped block, after the n-digit ones
     size = N + 1 - first
+    split = N + 1 - top  # pieces of the n-digit block, before the wrapped ones
     log_b = math.log(b)
 
-    # digit sums S(i) for i = first..N: increments, then one cumulative sum
-    counts = np.zeros(size, dtype=np.int64)
-    start, p = 0, 1
-    while p <= N:  # p = b**j, j = 0..n-1
-        counts[-first % p::p] += 1  # the i divisible by p
-        start += first // p
+    levels = np.ones(size)
+    hi, lo = levels[:split], levels[split:]
+    p = b
+    while p <= N:  # p = b**j, j = 1..n-1, divides top
+        hi[::p] += 1.0
+        lo[-first % p::p] += 1.0
         p *= b
-    counts[0] = start
-    np.add.accumulate(counts, out=counts)
-    counts += n - (b ** n - 1) // (b - 1)
-    counts[:wrapped] += N  # the (n-1)-digit i wrap around
+    np.add.accumulate(levels, out=levels)
+    levels /= N
 
-    # pieces start at the fractional logs of the n-digit i = b**(n-1)..N,
-    # then at those of the wrapped i = floor(N/b)+1 .. b**(n-1)-1
-    levels = np.empty(size)
-    np.divide(counts[wrapped:], N, out=levels[:size - wrapped])
-    np.divide(counts[:wrapped], N, out=levels[size - wrapped:])
-    del counts  # freed before the bounds are made
     # the i as floats, counted up in place by a cumulative sum of ones: exact
     # below 2**53, past any array that fits in memory; np.arange temporaries
     # here left 16 MB more resident after a row at base 2, N = 10^7
-    bounds = np.empty(size + 1)
-    bounds.fill(1.0)
-    hi, lo = bounds[:size - wrapped], bounds[size - wrapped:size]
+    bounds = np.ones(size + 1)
+    hi, lo = bounds[:split], bounds[split:size]
     hi[0], lo[:1] = top, first
     np.add.accumulate(hi, out=hi)
     np.add.accumulate(lo, out=lo)
@@ -156,22 +143,6 @@ def closed_form_cdf(base: int, count: int) -> PiecewiseCdf:
     np.log(bounds[:size], out=bounds[:size])
     bounds[:size] /= log_b
     return _step_cdf(b, bounds, levels)
-
-
-def significand_count(base: int, count: int, i: int) -> int:
-    """Exact number of k <= count whose base-b mantissa is <= that of i.
-
-    Per digit block dd the qualifying k form the run from b**(dd-1) up to
-    floor(i * b**(dd-d)), capped by count; everything is integer arithmetic.
-    """
-    # Python integers are exact at any size, so the int64 envelope does not apply
-    b, N, n = _check_base(base), count, digit_count(base, count)
-    d = digit_count(b, i)
-    total = 0
-    for dd in range(1, n + 1):
-        top = i * b ** (dd - d) if dd >= d else i // b ** (d - dd)
-        total += min(top, N) - b ** (dd - 1) + 1
-    return total
 
 
 def reference_rotation(base: int, count: int) -> float:

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (DeltaProfile, PiecewiseCdf, build_empirical, cdf_of_empirical,
-                       delta_profile)
+from .logseq import digit_count
+from .measures import (DeltaProfile, PiecewiseCdf, _check_base, build_empirical,
+                       cdf_of_empirical, delta_profile)
 from .transport import integral_abs, w1_circle, w1_line
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "grid_minimize_offset",
     "cut_distance",
     "equivalence_trials",
+    "significand_count",
 ]
 
 # Combined atom budget for cut enumeration.  Sized so that the quantile
@@ -186,13 +188,34 @@ def cut_distance(F: PiecewiseCdf, G: PiecewiseCdf, s: float, variant: str = "D")
     return integral_abs(profile, profile.value(s, side))
 
 
+def significand_count(base: int, count: int, i: int) -> int:
+    """Exact number of k <= count whose base-b mantissa is <= that of i.
+
+    Per digit block dd the qualifying k form the run from b**(dd-1) up to
+    floor(i * b**(dd-d)), capped by count; everything is integer arithmetic.
+    """
+    # Python integers are exact at any size, so the int64 envelope does not apply
+    b, N, n = _check_base(base), count, digit_count(base, count)
+    d = digit_count(b, i)
+    total = 0
+    for dd in range(1, n + 1):
+        top = i * b ** (dd - d) if dd >= d else i // b ** (d - dd)
+        total += min(top, N) - b ** (dd - 1) + 1
+    return total
+
+
 def equivalence_trials(trials: int, max_atoms: int, seed: int) -> tuple[float, float]:
     """Worst |engine - brute force| over random equal-weight atom pairs.
 
     Returns the max absolute discrepancies (line, circle).  The engine sees
     the pairs as step CDFs; the oracle path never touches the piecewise
-    machinery beyond building the atom lists.
+    machinery beyond building the atom lists.  A run of no trials, or of
+    pairs past the brute-force circle cap, is refused.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 1 <= max_atoms <= _CIRCLE_BRUTE_CAP // 2:
+        raise ValueError(f"max_atoms must lie in 1..{_CIRCLE_BRUTE_CAP // 2}, got {max_atoms}")
     rng = np.random.default_rng(seed)
     worst_line = worst_circle = 0.0
     for _ in range(trials):

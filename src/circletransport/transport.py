@@ -89,8 +89,11 @@ def integral_abs(profile: DeltaProfile, c: float) -> float:
     one scratch array that the spans share.  The ``block_sums`` of those
     spans are the whole-length arrays' own, so one ``fsum`` of them has the
     bits of ``compensated_sum`` over the first parts and over the second
-    parts of all pieces.
+    parts of all pieces.  A NaN level raises ``ValueError``; at c = +-inf the
+    integral is inf.
     """
+    if math.isnan(c):
+        raise ValueError("level c must not be NaN")
     powers = profile._bound_powers()
     bounds, coef, offset = profile.bounds, profile.coef, profile.offset
     log_b = math.log(profile.base)

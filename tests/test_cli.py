@@ -108,6 +108,18 @@ class TestOracleCheck:
         assert code == 0
         assert "PASS" in out
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--trials", "0"), "trials must be at least 1, got 0"),
+        (("--trials", "-3"), "trials must be at least 1, got -3"),
+        (("--max-atoms", "0"), "max_atoms must lie in 1..1024, got 0"),
+        (("--max-atoms", "3000", "--trials", "20"), "max_atoms must lie in 1..1024, got 3000"),
+    ])
+    def test_a_run_that_checks_nothing_exits_2(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "oracle-check", *flags)
+        assert code == 2
+        assert "PASS" not in out
+        assert err == f"error: {message}\n"
+
 
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):

@@ -14,8 +14,8 @@ from circletransport.logseq import (
     digit_count,
     frac_log,
     reference_rotation,
-    significand_count,
 )
+from circletransport.oracle import significand_count
 
 mpmath.mp.dps = 40
 

@@ -219,6 +219,22 @@ class TestEngineOracleEquivalence:
         assert worst_line <= 1e-9
         assert worst_circle <= 1e-9
 
+    @pytest.mark.parametrize("trials,max_atoms,name", [
+        (0, 40, "trials"), (-3, 40, "trials"), (5, 0, "max_atoms"), (5, 1025, "max_atoms"),
+    ])
+    def test_arguments_are_refused_before_any_trial(self, monkeypatch, trials, max_atoms, name):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(np.random, "default_rng", no_trials)
+        with pytest.raises(ValueError, match=name):
+            equivalence_trials(trials=trials, max_atoms=max_atoms, seed=1)
+
+    @pytest.mark.parametrize("max_atoms", [1, 1024])
+    def test_atom_limits_are_accepted(self, max_atoms):
+        # 1024 atoms a side is the most the brute-force circle cap takes
+        worst_line, worst_circle = equivalence_trials(trials=1, max_atoms=max_atoms, seed=3)
+        assert worst_line <= 1e-9 and worst_circle <= 1e-9
+
     def test_quantile_halving(self):
         # The signed discretization error oscillates through zero, so the
         # halving rate is enforced in aggregate over the doubling range: five

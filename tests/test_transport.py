@@ -72,6 +72,13 @@ class TestIntegralAbs:
     def test_shift_by_one(self):
         assert integral_abs(atom_exp_profile(), 1.0) == pytest.approx(1 / LN2 - 1, abs=1e-15)
 
+    def test_nan_level_is_refused(self):
+        with pytest.raises(ValueError, match="NaN"):
+            integral_abs(atom_exp_profile(), math.nan)
+        # an infinite level is far from every value: the integral is inf
+        assert integral_abs(atom_exp_profile(), math.inf) == math.inf
+        assert integral_abs(atom_exp_profile(), -math.inf) == math.inf
+
     @pytest.mark.parametrize("pieces", [
         1, 4095, 4096, 4097, SPAN - 1, SPAN, SPAN + 1, SPAN + 4096, 2 * SPAN + 4096])
     def test_spans_keep_the_bits_of_one_pass(self, pieces, rng):
