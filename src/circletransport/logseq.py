@@ -100,49 +100,103 @@ def build_nu(base: int, count: int) -> CircleEmpirical:
     return build_empirical(_frac_log_many(base, ks), base)
 
 
+class _StepPieces:
+    """The pieces of ``closed_form_cdf(base, count)``, written range by range.
+
+    Piece k starts at the fractional log of the integer i_k: the n-digit
+    i = b**(n-1)..N first, then the (n-1)-digit i = floor(N/b)+1 ..
+    b**(n-1)-1, whose mantissas wrap around.  ``bounds`` writes bounds
+    ``start..stop - 1``, bound ``size`` being 1.0; ``jumps`` writes the jump
+    counts (the CDF's jumps times N) of pieces ``start..stop - 1``.  Every
+    range gives each entry the float operations of the whole array, so a
+    caller may write the pieces in spans.
+
+    Construction refuses a row whose breakpoints binary64 cannot resolve,
+    before any piece is written: written span by span, such a row would run
+    for years before its piece checks met the first tie.  Neighbouring
+    bounds lie about 1 / (i ln b) apart, least at the end of a block, where
+    their ulp is largest.  So the row is refused when a block's last two
+    bounds are not strictly increasing, or lie less than one ulp apart in
+    exact arithmetic, which forces ties among the block's last integers.
+    The piece checks still test every bound.
+    """
+
+    def __init__(self, spec: LogSequenceSpec):
+        b, N, n = spec.base, spec.count, spec.digits
+        self.base, self.count = b, N
+        top = b ** (n - 1)  # the first n-digit integer
+        first = N // b + 1  # the first (n-1)-digit integer whose block wraps
+        self.size = N + 1 - first
+        split = N + 1 - top  # pieces of the n-digit block, before the wrapped ones
+        # each block as (first piece, end piece, its first integer, the divisor
+        # that maps it into [1, b))
+        self._blocks = ((0, split, top, top), (split, self.size, first, top // b))
+        self._log_b = math.log(b)
+        probe = np.empty(2)
+        for lo, hi, i, _ in self._blocks:
+            if hi - lo < 2:
+                continue
+            self.bounds(hi - 2, hi, probe)  # the block's last two integers
+            before, last = probe.tolist()
+            # log_b(i / (i - 1)), i the block's last integer
+            gap = math.log1p(1.0 / (i + hi - lo - 2)) / self._log_b
+            if not (before < last and gap >= math.ulp(last)):
+                raise ValueError(
+                    f"piece bounds must be strictly increasing: at N={N} in base {b} the "
+                    f"fractional logs of neighbouring integers are closer than binary64 resolves")
+
+    def _parts(self, start, stop):
+        """``(a, z, i, scale)`` per block that pieces ``start..stop - 1`` meet:
+        they land at ``a:z`` of the output, the first of them at integer i,
+        and ``scale`` maps the block's integers into [1, b)."""
+        for lo, hi, i, scale in self._blocks:
+            s, e = max(start, lo), min(stop, hi)
+            if s < e:
+                yield s - start, e - start, i + (s - lo), scale
+
+    def bounds(self, start: int, stop: int, out: np.ndarray) -> None:
+        for a, z, i, scale in self._parts(start, stop):
+            # the i as floats, counted up in place by a cumulative sum of ones:
+            # exact below 2**53, past any row that runs
+            part = out[a:z]
+            part.fill(1.0)
+            part[0] = i
+            np.add.accumulate(part, out=part)
+            part /= scale
+            np.log(part, out=part)
+            part /= self._log_b
+        if stop > self.size:
+            out[self.size - start] = 1.0
+
+    def jumps(self, start: int, stop: int, out: np.ndarray) -> None:
+        """The mantissa of i is shared by the k <= N that are i, i/b, ...
+        while b divides: a jump of 1 + v_b(i), one more at each multiple of
+        each power b**j <= N, j >= 1."""
+        for a, z, i, _ in self._parts(start, stop):
+            part = out[a:z]
+            part.fill(1.0)
+            p = self.base
+            while p <= self.count:
+                part[-i % p::p] += 1.0
+                p *= self.base
+
+
 def closed_form_cdf(base: int, count: int) -> PiecewiseCdf:
     """Step CDF of ``build_nu(base, count)`` by running jump counts.
 
-    Its pieces start at the fractional logs of the n-digit integers
-    i = b**(n-1)..N, then at those of the (n-1)-digit i = floor(N/b)+1 ..
-    b**(n-1)-1, whose mantissas wrap around.  The CDF jumps at the mantissa
-    of i by the number of k <= N sharing it, namely i, i/b, i/b**2, ...
-    while b divides: 1 + v_b(i).  So each level is a running sum of ones
-    plus one more at each multiple of each power b**j <= N, divided by N:
-    O(N) work.  The sums are integer-valued floats, exact below 2**53 like
-    the bounds' running sum below, so each ``k / N`` is the exact count's.
+    Its pieces are those of ``_StepPieces``: each level is a running sum of
+    the jumps 1 + v_b(i), divided by N, in O(N) work.  The sums are
+    integer-valued floats, exact below 2**53 like the bounds' counts, so
+    each ``k / N`` is the exact count's.
     """
-    spec = LogSequenceSpec(base, count)
-    b, N, n = spec.base, spec.count, spec.digits
-    top = b ** (n - 1)  # the first n-digit integer
-    first = N // b + 1  # the first (n-1)-digit integer whose block wraps
-    size = N + 1 - first
-    split = N + 1 - top  # pieces of the n-digit block, before the wrapped ones
-    log_b = math.log(b)
-
-    levels = np.ones(size)
-    hi, lo = levels[:split], levels[split:]
-    p = b
-    while p <= N:  # p = b**j, j = 1..n-1, divides top
-        hi[::p] += 1.0
-        lo[-first % p::p] += 1.0
-        p *= b
+    pieces = _StepPieces(LogSequenceSpec(base, count))
+    levels = np.empty(pieces.size)
+    pieces.jumps(0, pieces.size, levels)
     np.add.accumulate(levels, out=levels)
-    levels /= N
-
-    # the i as floats, counted up in place by a cumulative sum of ones: exact
-    # below 2**53, past any array that fits in memory; np.arange temporaries
-    # here left 16 MB more resident after a row at base 2, N = 10^7
-    bounds = np.ones(size + 1)
-    hi, lo = bounds[:split], bounds[split:size]
-    hi[0], lo[:1] = top, first
-    np.add.accumulate(hi, out=hi)
-    np.add.accumulate(lo, out=lo)
-    hi /= top
-    lo /= top // b
-    np.log(bounds[:size], out=bounds[:size])
-    bounds[:size] /= log_b
-    return _step_cdf(b, bounds, levels)
+    levels /= pieces.count
+    bounds = np.empty(pieces.size + 1)
+    pieces.bounds(0, pieces.size + 1, bounds)
+    return _step_cdf(pieces.base, bounds, levels)
 
 
 def reference_rotation(base: int, count: int) -> float:

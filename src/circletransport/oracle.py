@@ -53,9 +53,10 @@ class AtomList:
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
         if pos.shape != w.shape or pos.ndim != 1 or pos.size == 0:
             raise ValueError("positions and weights must be matching non-empty 1-d arrays")
-        if np.any(pos < 0.0) or np.any(pos >= 1.0):
+        # each test is written so that a NaN fails it
+        if not np.all((pos >= 0.0) & (pos < 1.0)):
             raise ValueError("atom positions must lie in [0, 1)")
-        if np.any(w <= 0.0) or abs(math.fsum(w.tolist()) - 1.0) > 1e-12:
+        if not (np.all(w > 0.0) and abs(math.fsum(w.tolist()) - 1.0) <= 1e-12):
             raise ValueError("weights must be positive and sum to 1")
         pos.setflags(write=False)
         w.setflags(write=False)

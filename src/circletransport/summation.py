@@ -17,6 +17,7 @@ array in the spans that ``spans`` cuts, collect every span's
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable
 
@@ -69,4 +70,4 @@ def spans(size: int) -> Iterable[tuple[int, int]]:
     fsummed as it stands, where the whole array reduces it pairwise.
     """
     starts = range(0, max(size - _BLOCK, 1), _SPAN)
-    return zip(starts, [*starts[1:], size])
+    return zip(starts, itertools.chain(starts[1:], (size,)))

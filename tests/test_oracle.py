@@ -96,6 +96,17 @@ class TestDiscreteLine:
         with pytest.raises(ValueError):
             AtomList(np.array([0.1]), np.array([-1.0]))
 
+    @pytest.mark.parametrize("positions,weights,message", [
+        ([math.nan], [1.0], "must lie in"),
+        ([0.2, math.nan], [0.5, 0.5], "must lie in"),
+        ([0.5], [math.nan], "positive and sum to 1"),
+        ([0.2, 0.7], [1.0, math.nan], "positive and sum to 1"),
+    ])
+    def test_nan_atoms_are_refused(self, positions, weights, message):
+        # each built, and discrete_w1_line returned nan, while the tests let NaN pass
+        with pytest.raises(ValueError, match=message):
+            AtomList(np.array(positions), np.array(weights))
+
 
 class TestDiscreteCircle:
     def test_wraparound(self):

@@ -7,12 +7,18 @@ a ``BENCH_*.json`` file.
 Each point ``base:N:metrics`` (``metrics`` is ``line`` or ``both``) runs in
 a fresh interpreter.  It first computes one row with ``compute_metrics`` and
 reads the process's peak RSS (``ru_maxrss``), so ``peak_rss_mb`` is that of
-one row plus the imports.  Then it calls the layers the way
-``compute_metrics`` calls them, ``--repeats`` times, and times each call:
-``closed_form_cdf``, ``cdf_wrapped_exponential``, ``delta_profile``,
-``integral_abs`` at c = 0 (line), ``median_offset`` and ``integral_abs`` at
-the offset (circle).  A whole ``compute_metrics`` row is timed as often.
-Every time is the median of the repeats, in seconds.
+one row plus the imports.  Then it calls the layers of the materialized
+profile, ``--repeats`` times, and times each call: ``closed_form_cdf``,
+``cdf_wrapped_exponential``, ``delta_profile``, ``integral_abs`` at c = 0
+(line), ``median_offset`` and ``integral_abs`` at the offset (circle).  A
+whole ``compute_metrics`` row is timed as often.  Every time is the median
+of the repeats, in seconds.
+
+At ``both`` points these are the calls that ``compute_metrics`` makes.  A
+line-only row does not make them: it streams its pieces span by span
+(``harness._streamed_line``).  So at ``line`` points the layers time the
+profile path that the stream reproduces bit for bit, and only ``row_s`` and
+``peak_rss_mb`` measure the stream.
 
 The column goes into ``--out`` under ``--column``; other columns already in
 the file are kept, so two trees (say a parent commit and a change, each put
@@ -62,7 +68,7 @@ def measure_point(base: int, N: int, metrics: str, repeats: int) -> dict:
         G = timed("cdf_wrapped_exponential", cdf_wrapped_exponential,
                   base, reference_rotation(base, N))
         profile = timed("delta_profile", delta_profile, F, G)
-        del F, G  # as in compute_metrics, only the profile outlives the merge
+        del F, G  # as in a circle row, only the profile outlives the merge
         timed("integral_abs_line", integral_abs, profile, 0.0)
         if "circle" in which:
             c = timed("median_offset", median_offset, profile)
