@@ -15,10 +15,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .logseq import LogSequenceSpec, _StepPieces, closed_form_cdf, frac_log, reference_rotation
-from .measures import PiecewiseCdf, cdf_wrapped_exponential, delta_profile
-from .summation import _BLOCK, _SPAN, spans
-from .transport import _AbsIntegral, integral_abs, w1_circle_profile
+from .logseq import LogSequenceSpec, _RowPieces, closed_form_cdf, frac_log, reference_rotation
+from .measures import cdf_wrapped_exponential, delta_profile
+from .transport import integral_abs, w1_circle_profile
 
 __all__ = [
     "SweepConfig",
@@ -120,14 +119,14 @@ def compute_metrics(base: int, N: int, metrics: tuple[str, ...] = _METRICS) -> M
     """
     if not metrics or not set(metrics) <= set(_METRICS):
         raise ValueError(f"metrics must be a non-empty subset of {_METRICS}, got {metrics!r}")
-    spec = LogSequenceSpec(base, N)  # the envelope; its base is an int
-    base, n = spec.base, spec.digits
+    spec = LogSequenceSpec(base, N)  # the envelope; its base and N are ints
+    base, N, n = spec.base, spec.count, spec.digits
     if base > N:
         raise ValueError(f"need N >= base, got N={N} base={base}")
     start = time.perf_counter()
     G = cdf_wrapped_exponential(base, reference_rotation(base, N))
     if "circle" not in metrics:  # a line row streams its pieces, in span-sized memory
-        d_line, d_circle, offset_c = _streamed_line(spec, G), math.nan, math.nan
+        d_line, d_circle, offset_c = integral_abs(_RowPieces(spec, G), 0.0), math.nan, math.nan
     else:
         # only the profile outlives this line, so F does not add to the row's peak
         profile = delta_profile(closed_form_cdf(base, N), G)
@@ -144,76 +143,6 @@ def compute_metrics(base: int, N: int, metrics: tuple[str, ...] = _METRICS) -> M
         scaled_circle_linear=N * d_circle,
         wall_time_seconds=elapsed,
     )
-
-
-def _streamed_line(spec: LogSequenceSpec, G: PiecewiseCdf) -> float:
-    """``integral_abs(delta_profile(closed_form_cdf(b, N), G), 0.0)``, bit for
-    bit, without an array over the pieces.
-
-    ``G`` has one or two pieces, as the rotated exponential laws have.  The
-    joint pieces of F - G are written from ``_StepPieces`` into scratch of
-    one span, for each span that ``spans`` cuts from their count, and handed
-    to one ``_AbsIntegral``.  G's inner bound v goes where ``delta_profile``
-    inserts it, at ``np.searchsorted(F.bounds, v)`` unless F has it, and
-    the joint piece it starts repeats F's piece before it without a jump.
-    Each joint piece takes the operations it takes in the profile: its
-    level (the running jump count over N) minus G's offset, 0.0 minus G's
-    coef, and ``b**t`` at its bounds.  The bounds are checked as
-    ``PiecewiseCdf`` checks them, across span edges too.
-    """
-    F = _StepPieces(spec)  # refuses a row past binary64 resolution up front
-    one = np.empty(1)
-
-    def bound(k):
-        F.bounds(k, k + 1, one)
-        return one[0]
-
-    # np.searchsorted(F.bounds, v) by bisection, F's bounds running from 0 < v
-    # to 1 >= v; a G of one piece has v = 1, F's last bound
-    v = G.bounds[1]
-    lo, at = 0, F.size
-    while at - lo > 1:
-        mid = (lo + at) // 2
-        lo, at = (mid, at) if bound(mid) < v else (lo, mid)
-    new = bound(at) != v
-    ins = at if new else F.size + 1  # the joint index of v; past every index if not new
-    pieces = F.size + new
-    landing = (0, at, pieces)  # the joint pieces where G's pieces start and end
-    coef_g = 0.0 - G.coef
-
-    def joint(write, start, stop, out, inserted):
-        """``out`` = entries start..stop - 1 of an array over the joint pieces
-        or bounds, written as F's with ``inserted`` at ``ins``."""
-        if start <= ins < stop:
-            write(start, ins, out[:ins - start])
-            out[ins - start] = inserted
-            write(ins, stop - 1, out[ins + 1 - start:])
-        else:
-            shift = int(ins < start)
-            write(start - shift, stop - shift, out)
-
-    integral = _AbsIntegral(spec.base, 0.0, pieces)
-    scratch = np.empty((4, min(pieces, _SPAN + _BLOCK) + 1))
-    carry = 0.0  # the jumps before the span
-    for start, stop in spans(pieces):
-        size = stop - start
-        bounds, powers = scratch[0, :size + 1], scratch[1, :size + 1]
-        coef, offset = scratch[2, :size], scratch[3, :size]
-        joint(F.bounds, start, stop + 1, bounds, v)
-        if not np.all(bounds[1:] > bounds[:-1]):
-            raise ValueError("piece bounds must be strictly increasing")
-        joint(F.jumps, start, stop, offset, 0.0)
-        offset[0] += carry
-        np.add.accumulate(offset, out=offset)
-        carry = offset[-1]
-        offset /= spec.count
-        for g in range(G.piece_count):
-            a, z = (min(max(landing[i] - start, 0), size) for i in (g, g + 1))
-            coef[a:z] = coef_g[g]
-            np.subtract(offset[a:z], G.offset[g], out=offset[a:z])
-        np.power(float(spec.base), bounds, out=powers)
-        integral.add(bounds, powers, coef, offset)
-    return integral.total()
 
 
 def run_sweep(cfg: SweepConfig) -> list[MetricsRow]:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import CircleEmpirical, PiecewiseCdf, _check_base, _step_cdf, build_empirical
+from .summation import _BLOCK, _SPAN, spans
 
 __all__ = [
     "LogSequenceSpec",
@@ -45,16 +46,20 @@ class LogSequenceSpec:
     digits: int = field(init=False)
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"count must be positive, got {self.count}")
-        # stored as an int, so a float base such as 10.0 takes the integer path
-        base = _check_base(self.base)
+        count = self.count
+        # written so that a NaN and an infinity fail it
+        if not 1 <= count < math.inf or int(count) != count:
+            raise ValueError(f"count must be a positive integer, got {count}")
+        # both stored as ints, so a float base such as 10.0 or a float count
+        # such as 1e6 takes the integer path
+        count, base = int(count), _check_base(self.base)
+        object.__setattr__(self, "count", count)
         object.__setattr__(self, "base", base)
-        digits = digit_count(base, self.count)
+        digits = digit_count(base, count)
         if base ** (digits + 1) > _INT64_MAX:
             largest = digit_count(base, _INT64_MAX // base) - 1
             raise ValueError(
-                f"N={self.count} overflows exact integer arithmetic for base {base}; "
+                f"N={count} overflows exact integer arithmetic for base {base}; "
                 f"largest supported digit count is {largest}")
         object.__setattr__(self, "digits", digits)
 
@@ -95,9 +100,9 @@ def _frac_log_many(base: int, ks: np.ndarray) -> np.ndarray:
 
 def build_nu(base: int, count: int) -> CircleEmpirical:
     """Empirical measure of the fractional parts of log_b(k), k = 1..count."""
-    base = LogSequenceSpec(base, count).base  # the (base, N) envelope
-    ks = np.arange(1, count + 1, dtype=np.int64)
-    return build_empirical(_frac_log_many(base, ks), base)
+    spec = LogSequenceSpec(base, count)  # the (base, N) envelope
+    ks = np.arange(1, spec.count + 1, dtype=np.int64)
+    return build_empirical(_frac_log_many(spec.base, ks), spec.base)
 
 
 class _StepPieces:
@@ -156,12 +161,9 @@ class _StepPieces:
 
     def bounds(self, start: int, stop: int, out: np.ndarray) -> None:
         for a, z, i, scale in self._parts(start, stop):
-            # the i as floats, counted up in place by a cumulative sum of ones:
-            # exact below 2**53, past any row that runs
+            # the i as floats, a ramp: exact below 2**53, past any row that runs
             part = out[a:z]
-            part.fill(1.0)
-            part[0] = i
-            np.add.accumulate(part, out=part)
+            part[:] = np.arange(i, i + z - a, dtype=np.float64)
             part /= scale
             np.log(part, out=part)
             part /= self._log_b
@@ -179,6 +181,86 @@ class _StepPieces:
             while p <= self.count:
                 part[-i % p::p] += 1.0
                 p *= self.base
+
+
+class _RowPieces:
+    """The pieces of ``delta_profile(closed_form_cdf(b, N), G)``, written
+    span by span for ``transport.integral_abs``, with no array over them.
+
+    ``G`` has one or two pieces, as the rotated exponential laws have.  The
+    joint pieces are written from ``_StepPieces``, which refuses a row past
+    binary64 resolution when this is built.  G's inner bound v goes where
+    ``delta_profile`` inserts it, at ``np.searchsorted(F.bounds, v)``
+    unless F has it, and the joint piece it starts repeats F's piece before
+    it without a jump.  Each joint piece takes the operations it takes in
+    the profile: its level (the running jump count over N) minus G's
+    offset, 0.0 minus G's coef, and ``b**t`` at its bounds.  So
+    ``integral_abs`` over this cover has the bits it has over the profile.
+    """
+
+    def __init__(self, spec: LogSequenceSpec, G: PiecewiseCdf):
+        F = _StepPieces(spec)
+        one = np.empty(1)
+
+        def bound(k):
+            F.bounds(k, k + 1, one)
+            return one[0]
+
+        # np.searchsorted(F.bounds, v) by bisection, F's bounds running from 0 < v
+        # to 1 >= v; a G of one piece has v = 1, F's last bound
+        v = G.bounds[1]
+        lo, at = 0, F.size
+        while at - lo > 1:
+            mid = (lo + at) // 2
+            lo, at = (mid, at) if bound(mid) < v else (lo, mid)
+        new = bool(bound(at) != v)
+        self.base, self.piece_count = spec.base, F.size + new
+        self._F, self._G, self._v = F, G, v
+        self._ins = at if new else F.size + 1  # the joint index of v; past every index if not new
+        self._landing = (0, at, self.piece_count)  # the joint pieces where G's pieces start and end
+
+    def spans(self):
+        """Yield ``(bounds, powers, coef, offset)`` for each span that
+        ``summation.spans`` cuts from the joint pieces, as ``DeltaProfile``
+        does.  Every span is written into one scratch array that the spans
+        share: a yielded span is a view of it, valid only until the next
+        span.  The bounds are checked as ``PiecewiseCdf`` checks them,
+        across span edges too.
+        """
+        F, G, v, ins, landing = self._F, self._G, self._v, self._ins, self._landing
+        coef_g = 0.0 - G.coef
+
+        def joint(write, start, stop, out, inserted):
+            """``out`` = entries start..stop - 1 of an array over the joint pieces
+            or bounds, written as F's with ``inserted`` at ``ins``."""
+            if start <= ins < stop:
+                write(start, ins, out[:ins - start])
+                out[ins - start] = inserted
+                write(ins, stop - 1, out[ins + 1 - start:])
+            else:
+                shift = int(ins < start)
+                write(start - shift, stop - shift, out)
+
+        scratch = np.empty((4, min(self.piece_count, _SPAN + _BLOCK) + 1))
+        carry = 0.0  # the jumps before the span
+        for start, stop in spans(self.piece_count):
+            size = stop - start
+            bounds, powers = scratch[0, :size + 1], scratch[1, :size + 1]
+            coef, offset = scratch[2, :size], scratch[3, :size]
+            joint(F.bounds, start, stop + 1, bounds, v)
+            if not np.all(bounds[1:] > bounds[:-1]):
+                raise ValueError("piece bounds must be strictly increasing")
+            joint(F.jumps, start, stop, offset, 0.0)
+            offset[0] += carry
+            np.add.accumulate(offset, out=offset)
+            carry = offset[-1]
+            offset /= F.count
+            for g in range(G.piece_count):
+                a, z = (min(max(landing[i] - start, 0), size) for i in (g, g + 1))
+                coef[a:z] = coef_g[g]
+                np.subtract(offset[a:z], G.offset[g], out=offset[a:z])
+            np.power(float(F.base), bounds, out=powers)
+            yield bounds, powers, coef, offset
 
 
 def closed_form_cdf(base: int, count: int) -> PiecewiseCdf:

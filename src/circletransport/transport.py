@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DeltaProfile, PiecewiseCdf, delta_profile
-from .summation import _BLOCK, _SPAN, block_sums, compensated_sum, spans
+from .summation import _BLOCK, _SPAN, block_sums, compensated_sum
 
 __all__ = [
     "TransportResult",
@@ -74,71 +74,50 @@ class TransportResult:
     offset: float
 
 
-def integral_abs(profile: DeltaProfile, c: float) -> float:
+def integral_abs(profile, c: float) -> float:
     """Exact value of ``integral_0^1 |delta(t) - c| dt``.
 
-    The pieces go to an ``_AbsIntegral`` in the spans of ``_SPAN`` that
-    ``summation.spans`` cuts, with the powers ``b**t`` at the bounds that
-    the profile computes once and keeps.  A NaN level raises
-    ``ValueError``; at c = +-inf the integral is inf.
-    """
-    powers = profile._bound_powers()
-    bounds, coef, offset = profile.bounds, profile.coef, profile.offset
-    integral = _AbsIntegral(profile.base, c, coef.size)
-    for start, stop in spans(coef.size):
-        integral.add(bounds[start:stop + 1], powers[start:stop + 1],
-                     coef[start:stop], offset[start:stop])
-    return integral.total()
-
-
-class _AbsIntegral:
-    """``integral |delta - c|`` over pieces handed to ``add`` span by span.
+    ``profile`` is a cover of [0, 1) by pieces ``a*b**t + d`` with a
+    ``base``, a ``piece_count`` and ``spans()``, which yields ``(bounds,
+    powers = b**bounds, coef, offset)`` for each span that
+    ``summation.spans`` cuts: a ``DeltaProfile``, or a line row's pieces
+    written span by span (``logseq._RowPieces``).
 
     Each piece is split at the closed-form root of ``a*b**t + d = c`` when
     the sign changes inside it; the two monotone parts are integrated with
-    the antiderivative ``a*b**t/ln(b) + (d - c)*t`` and accumulated with
-    compensated summation.  Roots and second parts are computed only for
-    the pieces whose end values differ in sign.
-
-    A caller hands over the spans that ``summation.spans`` cuts from its
-    ``pieces``, in order, and every span-length temporary is a row of one
-    scratch array that the spans share.  The ``block_sums`` of those spans
-    are the whole-length arrays' own, so ``total``'s one ``fsum`` of them
-    has the bits of ``compensated_sum`` over the first parts and over the
-    second parts of all pieces.
+    the antiderivative ``a*b**t/ln(b) + (d - c)*t``.  Roots and second
+    parts are computed only for the pieces whose end values differ in
+    sign.  The spans' ``block_sums`` are the whole arrays' own, so one
+    ``fsum`` of them has the bits of ``compensated_sum`` over the first
+    parts and over the second parts of all pieces.  A NaN level raises
+    ``ValueError``; at c = +-inf the integral is inf.
     """
+    if math.isnan(c):
+        raise ValueError("level c must not be NaN")
+    pieces = profile.spans()  # a profile computes its powers here, before the scratch
+    b, log_b = float(profile.base), math.log(profile.base)
+    # a span's temporaries are rows of one array made once per integral; a
+    # new set on every span churned the top of the heap, which malloc
+    # trimmed and faulted in again (see ``summation._SPAN``)
+    rows = np.empty((6, min(profile.piece_count, _SPAN + _BLOCK)))
+    first, second = [], []
 
-    def __init__(self, base: int, c: float, pieces: int):
-        if math.isnan(c):
-            raise ValueError("level c must not be NaN")
-        self.base, self.c, self.log_b = float(base), c, math.log(base)
-        # a span's temporaries are rows of one array made once per integral; a
-        # new set on every span churned the top of the heap, which malloc
-        # trimmed and faulted in again (see ``summation._SPAN``)
-        self.rows = np.empty((6, min(pieces, _SPAN + _BLOCK)))
-        self.first, self.second = [], []
+    # |integral of a*b**t + shift over [u, v]|, into out, with width and e
+    # as scratch; expm1 keeps nearby powers exact
+    def chunk(a, shift, u, pow_u, v, out, width, e):
+        np.subtract(v, u, out=width)
+        np.expm1(np.multiply(width, log_b, out=e), out=e)
+        np.multiply(a, pow_u, out=out)
+        out *= e
+        out /= log_b
+        out += np.multiply(shift, width, out=e)
+        return np.abs(out, out=out)
 
-    def add(self, bounds, powers, coef, offset) -> None:
-        """One span: ``bounds`` and ``powers = b**bounds`` over its pieces'
-        ends, one longer than ``coef`` and ``offset``."""
-        log_b = self.log_b
-
-        # |integral of a*b**t + shift over [u, v]|, into out, with width and e
-        # as scratch; expm1 keeps nearby powers exact
-        def chunk(a, shift, u, pow_u, v, out, width, e):
-            np.subtract(v, u, out=width)
-            np.expm1(np.multiply(width, log_b, out=e), out=e)
-            np.multiply(a, pow_u, out=out)
-            out *= e
-            out /= log_b
-            out += np.multiply(shift, width, out=e)
-            return np.abs(out, out=out)
-
-        shift, values, part, mid, width, e = self.rows[:, :coef.size]
+    for bounds, powers, a, offset in pieces:
+        shift, values, part, mid, width, e = rows[:, :a.size]
         lo, hi = bounds[:-1], bounds[1:]
         pow_lo, pow_hi = powers[:-1], powers[1:]
-        a = coef
-        np.subtract(offset, self.c, out=shift)
+        np.subtract(offset, c, out=shift)
         t_mid = hi
         # the end values' product is negative only on exponential pieces (a != 0)
         np.add(np.multiply(a, pow_lo, out=values), shift, out=values)
@@ -156,13 +135,11 @@ class _AbsIntegral:
             # are the whole array's; a span without splits would add only zeros
             k = split.size
             part.fill(0.0)
-            part[split] = chunk(a[split], shift[split], root, np.power(self.base, root),
+            part[split] = chunk(a[split], shift[split], root, np.power(b, root),
                                 hi[split], values[:k], width[:k], e[:k])
-            self.second += block_sums(part)
-        self.first += block_sums(chunk(a, shift, lo, pow_lo, t_mid, values, width, e))
-
-    def total(self) -> float:
-        return math.fsum(self.first) + math.fsum(self.second)
+            second += block_sums(part)
+        first += block_sums(chunk(a, shift, lo, pow_lo, t_mid, values, width, e))
+    return math.fsum(first) + math.fsum(second)
 
 
 # Below a few thousand pieces a level pass costs its numpy calls, not its

@@ -1,6 +1,7 @@
 """The validity envelope: an integer base b >= 2 and a digit count whose
 digit sums stay exact in int64, each checked in one place."""
 
+import math
 import re
 
 import numpy as np
@@ -91,3 +92,25 @@ def test_float_base_closed_form_cdf():
     assert got.base == 2 and type(got.base) is int
     for name in ("bounds", "coef", "offset"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("entry", [build_nu, closed_form_cdf, compute_metrics, LogSequenceSpec])
+@pytest.mark.parametrize("count", [1000.5, 999.999, math.nan, math.inf, 0, -1000])
+def test_row_entry_points_refuse_a_count_that_is_not_a_positive_integer(entry, count):
+    with pytest.raises(ValueError, match=r"^count must be a positive integer, got "):
+        entry(10, count)
+
+
+@pytest.mark.parametrize("count", [1000.0, np.int64(1000), np.float64(1000.0)],
+                         ids=["float", "int64", "float64"])
+def test_integral_count_gives_the_int_row(count):
+    assert type(LogSequenceSpec(10, count).count) is int
+    assert build_nu(10, count).count == 1000
+    want, got = closed_form_cdf(10, 1000), closed_form_cdf(10, count)
+    for name in ("bounds", "coef", "offset"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    for metrics in (("line",), ("line", "circle")):
+        want, got = compute_metrics(10, 1000, metrics), compute_metrics(10, count, metrics)
+        assert type(got.N) is int and got.N == 1000
+        for name in ("d_line", "d_circle", "offset_c", "scaled_line"):
+            assert getattr(got, name).hex() == getattr(want, name).hex()

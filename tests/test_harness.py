@@ -17,6 +17,7 @@ from circletransport import (
     verify,
     write_csv,
 )
+from circletransport import harness
 from circletransport.harness import _decade_medians, _phase_classes
 
 LN2 = math.log(2)
@@ -59,6 +60,28 @@ class TestComputeMetrics:
     def test_rejects_overflowing_count(self):
         with pytest.raises(ValueError, match="supported"):
             compute_metrics(2, 2 ** 62)
+
+    # calls of the names compute_metrics looks up on the harness module, which
+    # the benchmark's tracer rebinds: (closed_form_cdf, delta_profile, integral_abs)
+    @pytest.mark.parametrize("metrics,calls", [
+        (("line",), (0, 0, 1)),
+        (("line", "circle"), (1, 1, 1)),
+        (("circle",), (1, 1, 0)),
+    ], ids=["line", "both", "circle"])
+    def test_each_row_kind_calls_the_rebound_names(self, metrics, calls, monkeypatch):
+        names = ("closed_form_cdf", "delta_profile", "integral_abs")
+        counts = dict.fromkeys(names, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        compute_metrics(10, 1000, metrics)
+        assert tuple(counts[name] for name in names) == calls
 
 
 class TestDecadeGrid:

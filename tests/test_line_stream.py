@@ -12,11 +12,16 @@ import numpy as np
 import pytest
 
 from circletransport import compute_metrics
-from circletransport.harness import _streamed_line
-from circletransport.logseq import LogSequenceSpec, _StepPieces, closed_form_cdf, reference_rotation
+from circletransport.logseq import (
+    LogSequenceSpec,
+    _RowPieces,
+    _StepPieces,
+    closed_form_cdf,
+    reference_rotation,
+)
 from circletransport.measures import cdf_wrapped_exponential, delta_profile
 from circletransport.summation import _SPAN
-from circletransport.transport import integral_abs
+from circletransport.transport import integral_abs, median_offset
 
 
 def reference(base, N, G):
@@ -80,7 +85,51 @@ def test_any_inner_bound_keeps_the_bits(k, where):
     t = bounds[k] if where == "at" else (bounds[k - 1] + bounds[k]) / 2
     G = cdf_wrapped_exponential(base, 1.0 - t)
     assert landing(base, N, G.bounds[1]) == (k, 20000, where == "inside")
-    assert _streamed_line(LogSequenceSpec(base, N), G).hex() == reference(base, N, G)
+    assert integral_abs(_RowPieces(LogSequenceSpec(base, N), G), 0.0).hex() == reference(base, N, G)
+
+
+def cover_matches_profile(base, N, G, c):
+    """The row cover's spans, copied and joined, equal the profile's arrays
+    and powers bit for bit, signed zeros included, and ``integral_abs`` over
+    the cover at c has the profile's bits."""
+    cover = _RowPieces(LogSequenceSpec(base, N), G)
+    profile = delta_profile(closed_form_cdf(base, N), G)
+    parts = [[x.copy() for x in span] for span in cover.spans()]
+    assert cover.base == profile.base and cover.piece_count == profile.piece_count
+    joined = {
+        "bounds": np.concatenate([p[0][:-1] for p in parts] + [parts[-1][0][-1:]]),
+        "powers": np.concatenate([p[1][:-1] for p in parts] + [parts[-1][1][-1:]]),
+        "coef": np.concatenate([p[2] for p in parts]),
+        "offset": np.concatenate([p[3] for p in parts]),
+    }
+    want = {"bounds": profile.bounds, "powers": profile._bound_powers(),
+            "coef": profile.coef, "offset": profile.offset}
+    for name, got in joined.items():
+        assert np.array_equal(got.view(np.int64), want[name].view(np.int64)), name
+    # the next span's first bound is the last bound of the span before it
+    for before, after in zip(parts, parts[1:]):
+        assert before[0][-1] == after[0][0]
+    assert integral_abs(cover, c).hex() == integral_abs(profile, c).hex()
+
+
+@pytest.mark.parametrize("base,N", [row[:2] for row in ROWS])
+def test_row_cover_is_the_profile_piece_for_piece(base, N):
+    row = compute_metrics(base, N)
+    G = cdf_wrapped_exponential(base, reference_rotation(base, N))
+    cover_matches_profile(base, N, G, row.offset_c)
+
+
+# the inner bounds of test_any_inner_bound_keeps_the_bits: F's bound k, or
+# inside piece k - 1 of F, on (2, 40000)
+@pytest.mark.parametrize("k,where", [
+    (1, "inside"), (7000, "inside"), (12000, "at"), (_SPAN - 1, "inside"), (_SPAN, "inside"),
+    (_SPAN, "at"), (_SPAN + 1, "inside"), (_SPAN + 1, "at"), (20000, "inside"),
+])
+def test_row_cover_with_any_inner_bound_is_the_profile(k, where):
+    F = closed_form_cdf(2, 40000)
+    t = F.bounds[k] if where == "at" else (F.bounds[k - 1] + F.bounds[k]) / 2
+    G = cdf_wrapped_exponential(2, 1.0 - t)
+    cover_matches_profile(2, 40000, G, median_offset(delta_profile(F, G)))
 
 
 def test_line_row_holds_no_piece_array():

@@ -15,10 +15,11 @@ whole ``compute_metrics`` row is timed as often.  Every time is the median
 of the repeats, in seconds.
 
 At ``both`` points these are the calls that ``compute_metrics`` makes.  A
-line-only row does not make them: it streams its pieces span by span
-(``harness._streamed_line``).  So at ``line`` points the layers time the
-profile path that the stream reproduces bit for bit, and only ``row_s`` and
-``peak_rss_mb`` measure the stream.
+line-only row makes only ``cdf_wrapped_exponential`` and one
+``integral_abs``, over pieces streamed span by span from the closed form
+(``logseq._RowPieces``), not over a profile.  So at ``line`` points the
+layers time the profile path that the stream reproduces bit for bit, and
+only ``row_s`` and ``peak_rss_mb`` measure the stream.
 
 The column goes into ``--out`` under ``--column``; other columns already in
 the file are kept, so two trees (say a parent commit and a change, each put
