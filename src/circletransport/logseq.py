@@ -10,6 +10,9 @@ powers of b map to exactly 0.
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,13 +49,9 @@ class LogSequenceSpec:
     digits: int = field(init=False)
 
     def __post_init__(self):
-        count = self.count
-        # written so that a NaN and an infinity fail it
-        if not 1 <= count < math.inf or int(count) != count:
-            raise ValueError(f"count must be a positive integer, got {count}")
         # both stored as ints, so a float base such as 10.0 or a float count
         # such as 1e6 takes the integer path
-        count, base = int(count), _check_base(self.base)
+        count, base = _positive_int(self.count, "count"), _check_base(self.base)
         object.__setattr__(self, "count", count)
         object.__setattr__(self, "base", base)
         digits = digit_count(base, count)
@@ -64,11 +63,17 @@ class LogSequenceSpec:
         object.__setattr__(self, "digits", digits)
 
 
+def _positive_int(value, name: str) -> int:
+    """``value`` as an int; anything but a positive integral value is refused."""
+    # written so that a NaN and an infinity fail it
+    if not 1 <= value < math.inf or int(value) != value:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return int(value)
+
+
 def digit_count(base: int, k: int) -> int:
     """Number of base-``b`` digits of ``k``, by integer comparisons only."""
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    base = _check_base(base)
+    k, base = _positive_int(k, "k"), _check_base(base)
     d, p = 1, base
     while k >= p:
         p *= base
@@ -137,6 +142,14 @@ class _StepPieces:
         # that maps it into [1, b))
         self._blocks = ((0, split, top, top), (split, self.size, first, top // b))
         self._log_b = math.log(b)
+        # 1 + v_b(r) over one period r < P = b**K, the largest power of b at
+        # most min(N, 4096), with 1 + K at r = 0: at most 4096 entries, and
+        # P = 1 when b > min(N, 4096), every power of b <= N then added below
+        self._period = np.ones(b ** (digit_count(b, min(N, 4096)) - 1))
+        p = b
+        while p <= self._period.size:
+            self._period[::p] += 1.0
+            p *= b
         probe = np.empty(2)
         for lo, hi, i, _ in self._blocks:
             if hi - lo < 2:
@@ -161,9 +174,16 @@ class _StepPieces:
 
     def bounds(self, start: int, stop: int, out: np.ndarray) -> None:
         for a, z, i, scale in self._parts(start, stop):
-            # the i as floats, a ramp: exact below 2**53, past any row that runs
+            # the i as floats, a ramp that doubles in place from its first 256:
+            # exact below 2**53, past any row that runs, with no temporary of
+            # the range's length (and faster than np.arange and a copy)
             part = out[a:z]
-            part[:] = np.arange(i, i + z - a, dtype=np.float64)
+            k = min(256, z - a)
+            part[:k] = np.arange(i, i + k, dtype=np.float64)
+            while k < z - a:
+                step = min(k, z - a - k)
+                np.add(part[:step], k, out=part[k:k + step])
+                k += step
             part /= scale
             np.log(part, out=part)
             part /= self._log_b
@@ -173,14 +193,79 @@ class _StepPieces:
     def jumps(self, start: int, stop: int, out: np.ndarray) -> None:
         """The mantissa of i is shared by the k <= N that are i, i/b, ...
         while b divides: a jump of 1 + v_b(i), one more at each multiple of
-        each power b**j <= N, j >= 1."""
+        each power b**j <= N, j >= 1.
+
+        The jumps are copied from the period table, 1 + v_b(i mod P), and
+        each multiple of a power b**j > P, j <= log_b N, gets one more, so
+        a range takes a few numpy calls and one per such power.  ``out`` is
+        contiguous: the whole periods are written through a reshaped view.
+        """
+        b, T = self.base, self._period
+        P = T.size
         for a, z, i, _ in self._parts(start, stop):
             part = out[a:z]
-            part.fill(1.0)
-            p = self.base
+            head = min(-i % P, z - a)  # up to the first multiple of P
+            part[:head] = T[i % P:i % P + head]
+            full = (z - a - head) // P * P
+            part[head:head + full].reshape(-1, P)[:] = T
+            part[head + full:] = T[:z - a - head - full]
+            p = P * b
             while p <= self.count:
                 part[-i % p::p] += 1.0
-                p *= self.base
+                p *= b
+
+
+# A line row is refused past this many pieces: about 7 minutes at the
+# 40 ns a piece that a streamed row takes on one CPU of a 2-CPU Xeon
+# (0.20 s for the 5M pieces of (2, 10^7)), so 10^10 * 40 ns = 400 s.  The
+# rows it refuses start at N of about 1.1e10 in base 10 and 2e10 in base 2.
+_PIECE_BUDGET = 10 ** 10
+
+
+def _cpus() -> int:
+    """How many CPUs the calling thread may run on; 1 where the OS cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return 1
+
+
+def _ahead(write, cuts, slots):
+    """Yield ``write(start, stop, slot)`` for each ``(start, stop)`` of
+    ``cuts``, written one span ahead by a producer thread.
+
+    The slots form a ring: the producer takes a free slot, writes it and
+    hands it over; a slot goes back to the producer when the caller asks
+    for the next one.  An exception raised in the producer is raised here,
+    unchanged, at the span it was writing.  Closing the generator stops
+    the producer and joins it.
+    """
+    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
+    for slot in slots:
+        free.put(slot)
+
+    def produce():
+        try:
+            for start, stop in cuts:
+                slot = free.get()
+                if slot is None:  # the caller has stopped
+                    return
+                ready.put(write(start, stop, slot))
+            ready.put(None)
+        except BaseException as exc:  # the caller raises it at this span
+            ready.put(exc)
+
+    producer = threading.Thread(target=produce, name="row-columns", daemon=True)
+    producer.start()
+    try:
+        while (slot := ready.get()) is not None:
+            if isinstance(slot, BaseException):
+                raise slot
+            yield slot
+            free.put(slot)
+    finally:
+        free.put(None)
+        producer.join()
 
 
 class _RowPieces:
@@ -189,7 +274,8 @@ class _RowPieces:
 
     ``G`` has one or two pieces, as the rotated exponential laws have.  The
     joint pieces are written from ``_StepPieces``, which refuses a row past
-    binary64 resolution when this is built.  G's inner bound v goes where
+    binary64 resolution when this is built; a row of more than
+    ``_PIECE_BUDGET`` pieces is refused next.  G's inner bound v goes where
     ``delta_profile`` inserts it, at ``np.searchsorted(F.bounds, v)``
     unless F has it, and the joint piece it starts repeats F's piece before
     it without a jump.  Each joint piece takes the operations it takes in
@@ -215,6 +301,10 @@ class _RowPieces:
             lo, at = (mid, at) if bound(mid) < v else (lo, mid)
         new = bool(bound(at) != v)
         self.base, self.piece_count = spec.base, F.size + new
+        if self.piece_count > _PIECE_BUDGET:
+            raise ValueError(
+                f"a line row at N={F.count} in base {F.base} has {self.piece_count} pieces, "
+                f"past the budget of {_PIECE_BUDGET} (about 7 minutes at 40 ns a piece)")
         self._F, self._G, self._v = F, G, v
         self._ins = at if new else F.size + 1  # the joint index of v; past every index if not new
         self._landing = (0, at, self.piece_count)  # the joint pieces where G's pieces start and end
@@ -222,13 +312,22 @@ class _RowPieces:
     def spans(self):
         """Yield ``(bounds, powers, coef, offset)`` for each span that
         ``summation.spans`` cuts from the joint pieces, as ``DeltaProfile``
-        does.  Every span is written into one scratch array that the spans
-        share: a yielded span is a view of it, valid only until the next
-        span.  The bounds are checked as ``PiecewiseCdf`` checks them,
-        across span edges too.
+        does.  Each yielded span is a view of scratch arrays that later
+        spans reuse: it is valid only until the next span.  The bounds are
+        checked as ``PiecewiseCdf`` checks them, across span edges too.
+
+        A span's bounds, their check, ``powers`` and its jumps depend on
+        the span alone; only the running jump count carries from span to
+        span.  So when the row has two spans or more and the calling thread
+        may run on two CPUs or more, a producer thread writes those columns
+        one span ahead (``_ahead``, two slots) while this thread adds the
+        carry, writes the levels and coefs and the caller integrates.
+        Otherwise the same writer runs inline, span by span.  The bits are
+        the same either way.
         """
         F, G, v, ins, landing = self._F, self._G, self._v, self._ins, self._landing
         coef_g = 0.0 - G.coef
+        width = min(self.piece_count, _SPAN + _BLOCK)
 
         def joint(write, start, stop, out, inserted):
             """``out`` = entries start..stop - 1 of an array over the joint pieces
@@ -241,26 +340,40 @@ class _RowPieces:
                 shift = int(ins < start)
                 write(start - shift, stop - shift, out)
 
-        scratch = np.empty((4, min(self.piece_count, _SPAN + _BLOCK) + 1))
-        carry = 0.0  # the jumps before the span
-        for start, stop in spans(self.piece_count):
-            size = stop - start
-            bounds, powers = scratch[0, :size + 1], scratch[1, :size + 1]
-            coef, offset = scratch[2, :size], scratch[3, :size]
+        def columns(start, stop, slot):
+            """The span's bounds, checked, their powers and its jumps, into ``slot``."""
+            bounds, powers, jumps = slot[:, :stop - start + 1]
             joint(F.bounds, start, stop + 1, bounds, v)
             if not np.all(bounds[1:] > bounds[:-1]):
                 raise ValueError("piece bounds must be strictly increasing")
-            joint(F.jumps, start, stop, offset, 0.0)
-            offset[0] += carry
-            np.add.accumulate(offset, out=offset)
-            carry = offset[-1]
-            offset /= F.count
-            for g in range(G.piece_count):
-                a, z = (min(max(landing[i] - start, 0), size) for i in (g, g + 1))
-                coef[a:z] = coef_g[g]
-                np.subtract(offset[a:z], G.offset[g], out=offset[a:z])
             np.power(float(F.base), bounds, out=powers)
-            yield bounds, powers, coef, offset
+            joint(F.jumps, start, stop, jumps[:-1], 0.0)
+            return slot
+
+        n = self.piece_count
+        # two spans or more (see ``summation.spans``), and a second CPU to write them on
+        ahead = n > _SPAN + _BLOCK and _cpus() > 1
+        slots = np.empty((1 + ahead, 3, width + 1))
+        written = (_ahead(columns, spans(n), slots) if ahead else
+                   (columns(start, stop, slots[0]) for start, stop in spans(n)))
+        coefs = np.empty(width)
+        carry = 0.0  # the jumps before the span
+        try:
+            for (start, stop), slot in zip(spans(n), written):
+                size = stop - start
+                bounds, powers = slot[:2, :size + 1]
+                offset, coef = slot[2, :size], coefs[:size]  # the levels, from the jumps in place
+                offset[0] += carry
+                np.add.accumulate(offset, out=offset)
+                carry = offset[-1]
+                offset /= F.count
+                for g in range(G.piece_count):
+                    a, z = (min(max(landing[i] - start, 0), size) for i in (g, g + 1))
+                    coef[a:z] = coef_g[g]
+                    np.subtract(offset[a:z], G.offset[g], out=offset[a:z])
+                yield bounds, powers, coef, offset
+        finally:
+            written.close()
 
 
 def closed_form_cdf(base: int, count: int) -> PiecewiseCdf:

@@ -27,19 +27,26 @@ _BLOCK = 4096
 
 # Long piece arrays are evaluated and checked in spans of this many pieces, a
 # multiple of the summation block of at least two blocks (see ``spans``).
-# Temporaries of a span, 128 KB each, stay in a 2 MB L2 cache.  On a 2-CPU
-# Xeon one ``transport.integral_abs`` call took (fastest to median of seven)
-# at base 2, N = 10^7 (5M pieces), c = 0: 68-95 ms with spans of 2, 4 or 8
-# blocks, 85-103 ms with 16, 122-142 with 64 and 129-203 with 256, against
-# 220-340 ms in one pass over whole arrays; at base 10, N = 10^6 and the
-# median offset: 31-48 ms with 2 to 8 blocks, 38-52 with 16 and 60-68 with
-# 64, against 60-74 in one pass.  A caller that makes several span-length
-# temporaries at once keeps them in buffers made once per call: made anew
-# on every span, glibc's malloc served them from the top of the heap and
-# trimmed it again after each span, which took 25k minor faults and about
-# 45 ms more in one such call at base 2, N = 10^7, unless an earlier free of
-# a multi-megabyte array had happened to raise malloc's thresholds.
-_SPAN = 4 * _BLOCK
+# Temporaries of a span, 256 KB each, stay in a 2 MB L2 cache.  On a 2-CPU
+# Xeon, fastest to median of seven, over two rounds: one
+# ``transport.integral_abs`` call over a profile took 47-68 ms at base 2,
+# N = 10^7 (5M pieces), c = 0, with spans of 2 to 16 blocks and 77-79 ms
+# with 64 (220-340 ms in one pass over whole arrays), and 26-36 ms at base
+# 10, N = 10^6 and the median offset with 2 to 16 blocks, 45-46 with 64
+# (60-74 ms in one pass).  A streamed line row at base 2, N = 10^7 took
+# 133-179 ms on one CPU with any of 2 to 64 blocks; on two, where a
+# producer thread writes each span's columns a span ahead
+# (``logseq._RowPieces``), it took 204-248 ms with 2 blocks, 139-157 with
+# 4, 100-125 with 8, 118-133 with 16 and 105-108 with 64: short spans hand
+# the GIL back and forth on every numpy call.  Spans of 16 blocks would
+# double the row's scratch to about 6.5 MB.  A caller that makes several
+# span-length temporaries at once keeps them in buffers made once per
+# call: made anew on every span, glibc's malloc served them from the top
+# of the heap and trimmed it again after each span, which took 25k minor
+# faults and about 45 ms more in one such call at base 2, N = 10^7, unless
+# an earlier free of a multi-megabyte array had happened to raise malloc's
+# thresholds.
+_SPAN = 8 * _BLOCK
 
 
 def block_sums(values) -> list[float]:

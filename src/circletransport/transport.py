@@ -42,6 +42,7 @@ checks it float by float around the median of four metrics rows.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 from dataclasses import dataclass
@@ -98,8 +99,11 @@ def integral_abs(profile, c: float) -> float:
     b, log_b = float(profile.base), math.log(profile.base)
     # a span's temporaries are rows of one array made once per integral; a
     # new set on every span churned the top of the heap, which malloc
-    # trimmed and faulted in again (see ``summation._SPAN``)
-    rows = np.empty((6, min(profile.piece_count, _SPAN + _BLOCK)))
+    # trimmed and faulted in again (see ``summation._SPAN``).  The two rows
+    # of the split pieces are made at the first split: a line row's c = 0
+    # often splits no piece
+    span_max = min(profile.piece_count, _SPAN + _BLOCK)
+    rows, split_rows = np.empty((4, span_max)), None
     first, second = [], []
 
     # |integral of a*b**t + shift over [u, v]|, into out, with width and e
@@ -113,32 +117,36 @@ def integral_abs(profile, c: float) -> float:
         out += np.multiply(shift, width, out=e)
         return np.abs(out, out=out)
 
-    for bounds, powers, a, offset in pieces:
-        shift, values, part, mid, width, e = rows[:, :a.size]
-        lo, hi = bounds[:-1], bounds[1:]
-        pow_lo, pow_hi = powers[:-1], powers[1:]
-        np.subtract(offset, c, out=shift)
-        t_mid = hi
-        # the end values' product is negative only on exponential pieces (a != 0)
-        np.add(np.multiply(a, pow_lo, out=values), shift, out=values)
-        values *= np.add(np.multiply(a, pow_hi, out=e), shift, out=e)
-        split = np.flatnonzero(values < 0.0)
-        if split.size:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                root = np.log(-shift[split] / a[split]) / log_b
-            inside = (root > lo[split]) & (root < hi[split])
-            split, root = split[inside], root[inside]
-            np.copyto(mid, hi)
-            mid[split] = root
-            t_mid = mid
-            # summed over all pieces of the span, zeros included, so its blocks
-            # are the whole array's; a span without splits would add only zeros
-            k = split.size
-            part.fill(0.0)
-            part[split] = chunk(a[split], shift[split], root, np.power(b, root),
-                                hi[split], values[:k], width[:k], e[:k])
-            second += block_sums(part)
-        first += block_sums(chunk(a, shift, lo, pow_lo, t_mid, values, width, e))
+    with contextlib.closing(pieces):  # a stream that ends early stops its writer here
+        for bounds, powers, a, offset in pieces:
+            shift, values, width, e = rows[:, :a.size]
+            lo, hi = bounds[:-1], bounds[1:]
+            pow_lo, pow_hi = powers[:-1], powers[1:]
+            np.subtract(offset, c, out=shift)
+            t_mid = hi
+            # the end values' product is negative only on exponential pieces (a != 0)
+            np.add(np.multiply(a, pow_lo, out=values), shift, out=values)
+            values *= np.add(np.multiply(a, pow_hi, out=e), shift, out=e)
+            split = np.flatnonzero(values < 0.0)
+            if split.size:
+                if split_rows is None:
+                    split_rows = np.empty((2, span_max))
+                part, mid = split_rows[:, :a.size]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    root = np.log(-shift[split] / a[split]) / log_b
+                inside = (root > lo[split]) & (root < hi[split])
+                split, root = split[inside], root[inside]
+                np.copyto(mid, hi)
+                mid[split] = root
+                t_mid = mid
+                # summed over all pieces of the span, zeros included, so its blocks
+                # are the whole array's; a span without splits would add only zeros
+                k = split.size
+                part.fill(0.0)
+                part[split] = chunk(a[split], shift[split], root, np.power(b, root),
+                                    hi[split], values[:k], width[:k], e[:k])
+                second += block_sums(part)
+            first += block_sums(chunk(a, shift, lo, pow_lo, t_mid, values, width, e))
     return math.fsum(first) + math.fsum(second)
 
 

@@ -1,4 +1,8 @@
-"""Shared fixtures: seeded random measures for the property suites."""
+"""Shared fixtures: seeded random measures for the property suites, and
+the CPU sets a row is run on."""
+
+import contextlib
+import os
 
 import numpy as np
 import pytest
@@ -31,3 +35,34 @@ def random_cdf(rng, base=10):
     if rng.random() < 0.5:
         return random_step_cdf(rng, base)
     return random_wrapped_cdf(rng, base)
+
+
+def one_cpu_and_all():
+    """The CPU sets to run a row on: one of this thread's CPUs, then all of them.
+
+    A line row of two spans or more writes its bounds on a second thread
+    when it may use two CPUs, and inline on one.  Where the platform has no
+    affinity call, a row sees one CPU (``logseq._cpus``), so the only set
+    is a one-CPU placeholder that ``affinity`` leaves as it is.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return [{0}]
+    cpus = os.sched_getaffinity(0)
+    return [{min(cpus)}, cpus]
+
+
+@contextlib.contextmanager
+def affinity(cpus):
+    """Run the block on ``cpus``; the thread's own CPU set is restored after.
+
+    Where the platform has no affinity call, the block runs as it is.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    saved = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, cpus)
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, saved)

@@ -18,7 +18,7 @@ from circletransport import (
     compute_metrics,
 )
 from circletransport.cli import main
-from circletransport.logseq import LogSequenceSpec, digit_count
+from circletransport.logseq import LogSequenceSpec, digit_count, frac_log
 
 BASE_CHECKED = {
     "PiecewiseCdf": lambda b: PiecewiseCdf(base=b, bounds=np.array([0.0, 1.0]),
@@ -99,6 +99,25 @@ def test_float_base_closed_form_cdf():
 def test_row_entry_points_refuse_a_count_that_is_not_a_positive_integer(entry, count):
     with pytest.raises(ValueError, match=r"^count must be a positive integer, got "):
         entry(10, count)
+
+
+@pytest.mark.parametrize("entry", [digit_count, frac_log])
+@pytest.mark.parametrize("k", [1000.5, math.nan, math.inf, 0])
+def test_digit_count_and_frac_log_refuse_a_k_that_is_not_a_positive_integer(entry, k):
+    # at the inf, digit_count once counted digits forever
+    with pytest.raises(ValueError, match=r"^k must be a positive integer, got "):
+        entry(10, k)
+
+
+def test_digit_count_and_frac_log_take_an_integral_float():
+    assert digit_count(10, 1000.0) == digit_count(10, 1000) == 4
+    assert frac_log(10, 2000.0) == frac_log(10, 2000)
+
+
+def test_cli_refuses_a_line_row_past_the_piece_budget(capsys):
+    assert main(["dist", "--base", "10", "--n", str(10 ** 12), "--metric", "line"]) == 2
+    assert re.match(r"^error: a line row at N=1000000000000 in base 10 has 900000000000 pieces, "
+                    r"past the budget of 10000000000 ", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("count", [1000.0, np.int64(1000), np.float64(1000.0)],

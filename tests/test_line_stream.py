@@ -5,14 +5,18 @@ compared by ``float.hex``: the stream must give every joint piece the float
 operations that the profile gives it.
 """
 
+import sys
+import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from circletransport import compute_metrics
+from circletransport import compute_metrics, transport
 from circletransport.logseq import (
+    _PIECE_BUDGET,
     LogSequenceSpec,
     _RowPieces,
     _StepPieces,
@@ -20,8 +24,9 @@ from circletransport.logseq import (
     reference_rotation,
 )
 from circletransport.measures import cdf_wrapped_exponential, delta_profile
-from circletransport.summation import _SPAN
+from circletransport.summation import _BLOCK, _SPAN
 from circletransport.transport import integral_abs, median_offset
+from conftest import affinity, one_cpu_and_all
 
 
 def reference(base, N, G):
@@ -47,13 +52,18 @@ def test_small_rows_keep_the_bits(base):
 
 # (base, N, how G's inner bound 1 - y meets F's bound of i = N, the piece it
 # starts): "equal" inserts nothing, "above" and "below" insert a bound just
-# past or just before it, and y = 0 gives G one piece and no inner bound
+# past or just before it, and y = 0 gives G one piece and no inner bound.
+# Piece 4 * _BLOCK is a block edge inside the first span; piece _SPAN is
+# the first of the second span.
 ROWS = [
     (2, 64, "y=0", None), (10, 1000, "y=0", None), (3, 81, "y=0", None),
-    (2, 3, "equal", 1), (2, 13, "equal", 5), (2, 49152, "equal", _SPAN),
-    (2, 5, "above", 2), (2, 147455, "above", _SPAN), (2, 81920, "above", _SPAN + 1),
+    (2, 3, "equal", 1), (2, 13, "equal", 5), (2, 49152, "equal", 4 * _BLOCK),
+    (2, 98304, "equal", _SPAN),
+    (2, 5, "above", 2), (2, 147455, "above", 4 * _BLOCK), (2, 81920, "above", 4 * _BLOCK + 1),
+    (2, 294911, "above", _SPAN), (2, 163840, "above", _SPAN + 1),
     (7, 117645, "above", "last"),
-    (2, 33, "below", 1), (10, 116384, "below", _SPAN), (2, 81921, "below", _SPAN + 1),
+    (2, 33, "below", 1), (10, 116384, "below", 4 * _BLOCK), (2, 81921, "below", 4 * _BLOCK + 1),
+    (3, 209915, "below", _SPAN), (2, 294913, "below", _SPAN + 1),
 ]
 
 
@@ -71,21 +81,46 @@ def test_rows_of_every_landing_keep_the_bits(base, N, case, piece):
     assert compute_metrics(base, N, ("line",)).d_line.hex() == row_reference(base, N)
 
 
-# (2, 40000): 20,000 pieces in two spans; its bounds from piece 10,402 on lie
-# in [0.5, 1), where y = 1 - t gives G the inner bound 1 - y == t exactly
-@pytest.mark.parametrize("k,where", [
-    (1, "inside"), (7000, "inside"), (12000, "at"), (_SPAN - 1, "inside"), (_SPAN, "inside"),
-    (_SPAN, "at"), (_SPAN + 1, "inside"), (_SPAN + 1, "at"), (20000, "inside"),
-])
+def inner_bound(N, k, where):
+    """A G whose inner bound is F's bound k (``at``) or inside piece k - 1 of
+    F, on (2, N), whose bounds from some piece on lie in [0.5, 1), where
+    y = 1 - t gives G the inner bound 1 - y == t exactly."""
+    F = closed_form_cdf(2, N)
+    t = F.bounds[k] if where == "at" else (F.bounds[k - 1] + F.bounds[k]) / 2
+    G = cdf_wrapped_exponential(2, 1.0 - t)
+    assert landing(2, N, G.bounds[1]) == (k, F.piece_count, where == "inside")
+    return F, G
+
+
+# G's inner bound on the first piece, the last piece, a block edge inside
+# the span and anywhere, on (2, 40000): 20,000 pieces in one span, its
+# bounds in [0.5, 1) from piece 10,402 on
+INNER_BOUNDS = [
+    (1, "inside"), (7000, "inside"), (12000, "at"), (4 * _BLOCK - 1, "inside"),
+    (4 * _BLOCK, "inside"), (4 * _BLOCK, "at"), (4 * _BLOCK + 1, "inside"),
+    (4 * _BLOCK + 1, "at"), (20000, "inside"),
+]
+# and at the span edge and on the last piece, on (2, 131071): 65,536 pieces
+# in two spans, its bounds in [0.5, 1) from piece 26,923 on
+SPAN_EDGE_INNER_BOUNDS = [
+    (_SPAN - 1, "inside"), (_SPAN, "inside"), (_SPAN, "at"), (_SPAN + 1, "inside"),
+    (_SPAN + 1, "at"), (65536, "inside"),
+]
+
+
+def inner_bound_keeps_the_bits(N, k, where):
+    _, G = inner_bound(N, k, where)
+    assert integral_abs(_RowPieces(LogSequenceSpec(2, N), G), 0.0).hex() == reference(2, N, G)
+
+
+@pytest.mark.parametrize("k,where", INNER_BOUNDS)
 def test_any_inner_bound_keeps_the_bits(k, where):
-    """G's inner bound on the first piece, the last piece, a span edge and
-    anywhere, as a bound of F (``at``) or inside piece k - 1 of F."""
-    base, N = 2, 40000
-    bounds = closed_form_cdf(base, N).bounds
-    t = bounds[k] if where == "at" else (bounds[k - 1] + bounds[k]) / 2
-    G = cdf_wrapped_exponential(base, 1.0 - t)
-    assert landing(base, N, G.bounds[1]) == (k, 20000, where == "inside")
-    assert integral_abs(_RowPieces(LogSequenceSpec(base, N), G), 0.0).hex() == reference(base, N, G)
+    inner_bound_keeps_the_bits(40000, k, where)
+
+
+@pytest.mark.parametrize("k,where", SPAN_EDGE_INNER_BOUNDS)
+def test_an_inner_bound_at_a_span_edge_keeps_the_bits(k, where):
+    inner_bound_keeps_the_bits(131071, k, where)
 
 
 def cover_matches_profile(base, N, G, c):
@@ -119,17 +154,16 @@ def test_row_cover_is_the_profile_piece_for_piece(base, N):
     cover_matches_profile(base, N, G, row.offset_c)
 
 
-# the inner bounds of test_any_inner_bound_keeps_the_bits: F's bound k, or
-# inside piece k - 1 of F, on (2, 40000)
-@pytest.mark.parametrize("k,where", [
-    (1, "inside"), (7000, "inside"), (12000, "at"), (_SPAN - 1, "inside"), (_SPAN, "inside"),
-    (_SPAN, "at"), (_SPAN + 1, "inside"), (_SPAN + 1, "at"), (20000, "inside"),
-])
+@pytest.mark.parametrize("k,where", INNER_BOUNDS)
 def test_row_cover_with_any_inner_bound_is_the_profile(k, where):
-    F = closed_form_cdf(2, 40000)
-    t = F.bounds[k] if where == "at" else (F.bounds[k - 1] + F.bounds[k]) / 2
-    G = cdf_wrapped_exponential(2, 1.0 - t)
+    F, G = inner_bound(40000, k, where)
     cover_matches_profile(2, 40000, G, median_offset(delta_profile(F, G)))
+
+
+@pytest.mark.parametrize("k,where", SPAN_EDGE_INNER_BOUNDS)
+def test_row_cover_with_an_inner_bound_at_a_span_edge_is_the_profile(k, where):
+    F, G = inner_bound(131071, k, where)
+    cover_matches_profile(2, 131071, G, median_offset(delta_profile(F, G)))
 
 
 def test_line_row_holds_no_piece_array():
@@ -142,6 +176,39 @@ def test_line_row_holds_no_piece_array():
     finally:
         tracemalloc.stop()
     assert peak < 500_001 * 8
+
+
+@pytest.mark.parametrize("b", [5000, 10 ** 7])
+def test_a_row_in_a_large_base_is_built_at_once(b):
+    # N < b: a jump table of one entry, not of b (which would trace 80 MB
+    # at b = 10**7, and 8 GB at b = 10**9)
+    closed_form_cdf(2, 1000)  # imports and first allocations
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        closed_form_cdf(b, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 64 * 1024
+
+
+def test_a_streamed_line_row_in_a_large_base_holds_no_piece_array():
+    # (10**6, 10**6): b > 4096, 999,999 pieces in 28 spans, 8.0 MB per piece
+    # array, as much as a jump table of b entries would hold
+    b = N = 10 ** 6
+    compute_metrics(2, 1000, ("line",))  # imports and first allocations
+    for cpus in one_cpu_and_all():
+        with affinity(cpus):
+            tracemalloc.start()
+            try:
+                got = compute_metrics(b, N, ("line",)).d_line.hex()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert got == row_reference(b, N), cpus
+        assert peak < 500_001 * 8, cpus
 
 
 @pytest.mark.parametrize("entry", [
@@ -159,10 +226,12 @@ def test_unresolved_rows_are_refused_up_front(entry):
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("k", [_SPAN - 1, _SPAN, _SPAN + 1])
+@pytest.mark.parametrize("k", [4 * _BLOCK - 1, 4 * _BLOCK, 4 * _BLOCK + 1, _SPAN - 1, _SPAN, _SPAN + 1])
 def test_a_tied_bound_fails_its_span(k, monkeypatch):
     """A bound that ties with the one before it, inside a span and at either
-    side of a span edge, fails the stream as it fails ``PiecewiseCdf``."""
+    side of a span edge, fails the stream as it fails ``PiecewiseCdf``,
+    whether the row writes its bounds inline (one CPU) or on a producer
+    thread (two)."""
     original = _StepPieces.bounds
 
     def tied(self, start, stop, out):
@@ -170,6 +239,92 @@ def test_a_tied_bound_fails_its_span(k, monkeypatch):
         if start <= k < stop:
             original(self, k - 1, k, out[k - start:])
     monkeypatch.setattr(_StepPieces, "bounds", tied)
-    for entry in (lambda: compute_metrics(2, 40000, ("line",)), lambda: closed_form_cdf(2, 40000)):
-        with pytest.raises(ValueError, match="^piece bounds must be strictly increasing$"):
-            entry()
+    for cpus in one_cpu_and_all():
+        for entry in (lambda: compute_metrics(2, 131071, ("line",)), lambda: closed_form_cdf(2, 131071)):
+            with affinity(cpus), pytest.raises(ValueError, match="^piece bounds must be strictly increasing$"):
+                entry()
+
+
+def row_cover(N):
+    """The cover of the line row (2, N): 16 spans at N = 10**6."""
+    G = cdf_wrapped_exponential(2, reference_rotation(2, N))
+    return _RowPieces(LogSequenceSpec(2, N), G)
+
+
+TWO_CPUS = pytest.mark.skipif(len(one_cpu_and_all()[-1]) < 2, reason="the producer needs two CPUs")
+
+
+@TWO_CPUS
+def test_a_producer_starts_on_two_cpus_for_two_spans_or_more():
+    before = threading.active_count()
+    for cpus, producers in zip(one_cpu_and_all(), (0, 1)):
+        with affinity(cpus):
+            stream = row_cover(10 ** 6).spans()
+            next(stream)  # the producer waits for a free slot
+            assert threading.active_count() == before + producers
+            stream.close()
+        assert threading.active_count() == before
+    # a row of one span writes inline
+    stream = row_cover(40000).spans()
+    next(stream)
+    assert threading.active_count() == before
+    stream.close()
+
+
+@TWO_CPUS
+def test_a_stream_closed_early_leaves_no_thread(monkeypatch):
+    """``close()`` on the stream, or an exception inside ``integral_abs``,
+    stops the producer and joins it."""
+    before = threading.active_count()
+    stream = row_cover(10 ** 6).spans()
+    next(stream)
+    assert threading.active_count() == before + 1
+    stream.close()
+    assert threading.active_count() == before
+
+    def failing(values):
+        raise RuntimeError("inside integral_abs")
+    monkeypatch.setattr(transport, "block_sums", failing)
+    # the traceback, held here, keeps integral_abs's frame and its stream alive
+    with pytest.raises(RuntimeError, match="inside integral_abs") as caught:
+        integral_abs(row_cover(10 ** 6), 0.0)
+    assert threading.active_count() == before, caught
+
+
+@TWO_CPUS
+def test_concurrent_line_rows_keep_their_bits():
+    """Six line rows at once on four threads, each with its producer, with
+    the interpreter switching threads every microsecond: a slot handed back
+    to a producer while its span was still in use would change the bits."""
+    rows = [(2, 10 ** 6), (3, 400000), (10, 300000)] * 2
+    with affinity(one_cpu_and_all()[0]):
+        want = [compute_metrics(*row, ("line",)).d_line.hex() for row in rows]
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(compute_metrics, *row, ("line",)) for row in rows]
+            got = [f.result(timeout=120).d_line.hex() for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert threading.active_count() == before
+
+
+def test_a_row_past_the_piece_budget_is_refused_at_once(monkeypatch):
+    """(10, 10**12) would stream 9e11 pieces, about 10 hours; it is refused
+    before any stream or thread starts."""
+    streams = []
+    monkeypatch.setattr(_RowPieces, "spans", lambda self: streams.append(self))
+    before = threading.active_count()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="900000000000 pieces, past the budget of 10000000000"):
+        compute_metrics(10, 10 ** 12, ("line",))
+    assert time.perf_counter() - start < 1.0
+    assert streams == [] and threading.active_count() == before
+    # the budget counts the row's pieces: N - floor(N/2) in base 2, and G's
+    # inner bound when it is new
+    assert row_cover(2 * _PIECE_BUDGET - 2).piece_count <= _PIECE_BUDGET
+    with pytest.raises(ValueError, match="past the budget"):
+        row_cover(2 * _PIECE_BUDGET + 2)

@@ -11,6 +11,7 @@ from circletransport import (
 )
 from circletransport.logseq import (
     LogSequenceSpec,
+    _StepPieces,
     digit_count,
     frac_log,
     reference_rotation,
@@ -234,3 +235,34 @@ class TestLogSequenceSpec:
 def test_float_base_gives_the_int_base_value(func, args):
     """Past 2**53 a float base would round its powers; 3.0 computes as 3."""
     assert repr(func(3.0, *args)) == repr(func(3, *args))
+
+
+def valuation_jumps(b, N, ks):
+    """1 + v_b(k) for each integer k, v_b counted over the powers of b <= N."""
+    out = np.ones(ks.size)
+    p = b
+    while p <= N:
+        out += ks % p == 0
+        p *= b
+    return out
+
+
+@pytest.mark.parametrize("b,N", [(2, 10 ** 6), (10, 10 ** 6), (3, 3 ** 9 + 7), (10, 1500), (5000, 10 ** 7),
+                                 (70001, 300_000), (10 ** 7, 5)])
+def test_jumps_of_any_range_are_one_plus_the_valuation(b, N, rng):
+    """``_StepPieces.jumps`` copies 1 + v_b from a table of one period b**K:
+    any range, shorter than the distance to the next multiple of b**K or
+    spanning many of them, in either block, has the jumps of its integers."""
+    pieces = _StepPieces(LogSequenceSpec(b, N))
+    (lo, split, top, _), (_, size, first, _) = pieces._blocks
+    # the integer of each piece: the n-digit block, then the wrapped one
+    ks = np.concatenate((np.arange(top, top + split), np.arange(first, first + size - split)))
+    P = pieces._period.size
+    ranges = [(0, size)] + [
+        (start, min(start + length, size))
+        for start in rng.integers(0, size, 16).tolist() + [0, split - 1, split, max(size - P - 3, 0)]
+        for length in (1, 2, P - 1, P, P + 1, 3 * P + 5)]
+    for start, stop in ranges:
+        out = np.empty(stop - start)
+        pieces.jumps(start, stop, out)
+        assert np.array_equal(out, valuation_jumps(b, N, ks[start:stop])), (start, stop)

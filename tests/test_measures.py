@@ -370,9 +370,11 @@ def test_delta_identity_property(xs, ys):
 
 SPAN = summation._SPAN  # pieces per span of the construction checks
 SPANNED_PIECES = 3 * SPAN + 100  # spans [0, S), [S, 2S), [2S, P)
-# the last piece of the first span, the first two pieces of the second, its
-# last piece and the first piece of the third
-SPAN_EDGE_PIECES = [SPAN - 1, SPAN, SPAN + 1, 2 * SPAN - 1, 2 * SPAN]
+# a block edge inside the first span (at 4 blocks), then the last piece of
+# the first span, the first two pieces of the second, its last piece and the
+# first piece of the third
+SPAN_EDGE_PIECES = [4 * summation._BLOCK + d for d in (-1, 0, 1)] + [
+    SPAN - 1, SPAN, SPAN + 1, 2 * SPAN - 1, 2 * SPAN]
 
 
 def _spanned_cdf_arrays(kind="step"):

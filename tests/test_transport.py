@@ -27,7 +27,7 @@ from circletransport.transport import (
     level_measure,
     median_offset,
 )
-from conftest import random_cdf, random_step_cdf
+from conftest import affinity, one_cpu_and_all, random_cdf, random_step_cdf
 
 LN2 = math.log(2)
 SQRT2 = math.sqrt(2)
@@ -79,8 +79,10 @@ class TestIntegralAbs:
         assert integral_abs(atom_exp_profile(), math.inf) == math.inf
         assert integral_abs(atom_exp_profile(), -math.inf) == math.inf
 
+    # block edges inside one span (at 4 blocks and 5 blocks), then the span edges
     @pytest.mark.parametrize("pieces", [
-        1, 4095, 4096, 4097, SPAN - 1, SPAN, SPAN + 1, SPAN + 4096, 2 * SPAN + 4096])
+        1, 4095, 4096, 4097, 4 * 4096 - 1, 4 * 4096, 4 * 4096 + 1, 5 * 4096,
+        SPAN - 1, SPAN, SPAN + 1, SPAN + 4096, 2 * SPAN + 4096])
     def test_spans_keep_the_bits_of_one_pass(self, pieces, rng):
         # a wrong rule moves the last bit in a quarter to a half of the cases
         for _ in range(3):
@@ -436,8 +438,10 @@ def test_rows_keep_their_bits(base, N, d_line, d_circle, offset_c):
     and the integrals restricted to the split pieces; (2, 13) has a flat
     median stretch, whose lower end is its offset, and (10, 10**6) is the
     benchmark's row, recorded before the search listed the level's steps."""
-    row = compute_metrics(base, N)
-    assert (row.d_line.hex(), row.d_circle.hex(), row.offset_c.hex()) == (d_line, d_circle, offset_c)
+    for cpus in one_cpu_and_all():
+        with affinity(cpus):
+            row = compute_metrics(base, N)
+        assert (row.d_line.hex(), row.d_circle.hex(), row.offset_c.hex()) == (d_line, d_circle, offset_c)
 
 
 @pytest.mark.parametrize("base,N,d_line", [
@@ -448,8 +452,12 @@ def test_rows_keep_their_bits(base, N, d_line, d_circle, offset_c):
 def test_line_rows_keep_their_bits(base, N, d_line):
     """Line-only rows of half a million to five million pieces to the last
     bit, as recorded before ``closed_form_cdf`` took running digit sums and
-    ``integral_abs`` took spans; (2, 10**7) is the benchmark's line row."""
-    assert compute_metrics(base, N, ("line",)).d_line.hex() == d_line
+    ``integral_abs`` took spans; (2, 10**7) is the benchmark's line row.
+    On two CPUs a producer thread writes the bounds and powers; on one they
+    are written inline."""
+    for cpus in one_cpu_and_all():
+        with affinity(cpus):
+            assert compute_metrics(base, N, ("line",)).d_line.hex() == d_line
 
 
 class TestW1Line:

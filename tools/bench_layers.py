@@ -3,16 +3,24 @@ a ``BENCH_*.json`` file.
 
     PYTHONPATH=src python tools/bench_layers.py --column NAME --out BENCH_11.json
     PYTHONPATH=src python tools/bench_layers.py --points 2:10000:line --repeats 1
+    PYTHONPATH=src python tools/bench_layers.py --points 2:1e7:line --cpus one
 
 Each point ``base:N:metrics`` (``metrics`` is ``line`` or ``both``) runs in
-a fresh interpreter.  It first computes one row with ``compute_metrics`` and
-reads the process's peak RSS (``ru_maxrss``), so ``peak_rss_mb`` is that of
-one row plus the imports.  Then it calls the layers of the materialized
-profile, ``--repeats`` times, and times each call: ``closed_form_cdf``,
-``cdf_wrapped_exponential``, ``delta_profile``, ``integral_abs`` at c = 0
-(line), ``median_offset`` and ``integral_abs`` at the offset (circle).  A
-whole ``compute_metrics`` row is timed as often.  Every time is the median
-of the repeats, in seconds.
+a fresh interpreter, or in ``SMALL_PROCESSES`` fresh interpreters one after
+the other at N <= ``SMALL_N``: there one process's times spread by 30-50%
+from one process to the next.  A process first computes one row with
+``compute_metrics`` and reads its peak RSS (``ru_maxrss``), so
+``peak_rss_mb`` is that of one row plus the imports.  Then it calls the
+layers of the materialized profile, ``--repeats`` times, and times each
+call: ``closed_form_cdf``, ``cdf_wrapped_exponential``, ``delta_profile``,
+``integral_abs`` at c = 0 (line), ``median_offset`` and ``integral_abs`` at
+the offset (circle).  A whole ``compute_metrics`` row is timed as often.  Every time is the median
+of the repeats, in seconds; over several processes, the median of their
+medians, and ``peak_rss_mb`` the median of their peaks.
+
+``--cpus one`` pins each process to one of its CPUs before the first row;
+``--cpus all`` (the default) leaves it on all of them.  Only a line row of
+two spans or more uses a second CPU (see ``logseq._RowPieces.spans``).
 
 At ``both`` points these are the calls that ``compute_metrics`` makes.  A
 line-only row makes only ``cdf_wrapped_exponential`` and one
@@ -43,6 +51,8 @@ import time
 DEFAULT_POINTS = ["2:100000:line", "2:1000000:line", "2:10000000:line",
                   "10:100000:both", "10:1000000:both"]
 CHILD_TIMEOUT_S = 600
+SMALL_N = 10 ** 5
+SMALL_PROCESSES = 5
 
 
 def measure_point(base: int, N: int, metrics: str, repeats: int) -> dict:
@@ -83,6 +93,19 @@ def measure_point(base: int, N: int, metrics: str, repeats: int) -> dict:
             "layers_s": {name: statistics.median(v) for name, v in times.items()}}
 
 
+def merge(runs: list[dict]) -> dict:
+    """One point measured in several processes: medians of their figures."""
+    def median(get):
+        return statistics.median(get(run) for run in runs)
+
+    point = dict(runs[0], processes=len(runs))
+    point["peak_rss_mb"] = median(lambda run: run["peak_rss_mb"])
+    point["row_s"] = median(lambda run: run["row_s"])
+    point["layers_s"] = {name: median(lambda run: run["layers_s"][name])
+                         for name in runs[0]["layers_s"]}
+    return point
+
+
 def parse_point(text: str) -> tuple[int, int, str]:
     """``base:N:metrics``; N may be written as 1e6."""
     try:
@@ -120,8 +143,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--points", nargs="+", type=parse_point,
                         default=[parse_point(p) for p in DEFAULT_POINTS],
-                        help="base:N:line|both, one fresh process each")
+                        help=f"base:N:line|both, one fresh process each "
+                             f"({SMALL_PROCESSES} at N <= {SMALL_N})")
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--cpus", choices=("one", "all"), default="all",
+                        help="run each process on one of its CPUs or on all of them")
     parser.add_argument("--column", default="this tree")
     parser.add_argument("--out", help="JSON file to add the column to")
     parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
@@ -131,24 +157,30 @@ def main(argv=None) -> int:
 
     if args.one:  # the child: one point, printed as JSON
         (point,) = args.points
+        if args.cpus == "one":
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
         print(json.dumps(measure_point(*point, args.repeats)))
         return 0
 
     results = []
     for point in args.points:
         text = ":".join(map(str, point))
-        done = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--one", "--points", text,
-             "--repeats", str(args.repeats)],
-            env=child_env(), capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
-        if done.returncode != 0:
-            sys.stderr.write(done.stderr)
-            print(f"error: point {text} failed", file=sys.stderr)
-            return 1
-        results.append(json.loads(done.stdout))
+        runs = []
+        for _ in range(SMALL_PROCESSES if point[1] <= SMALL_N else 1):
+            done = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--one", "--points", text,
+                 "--repeats", str(args.repeats), "--cpus", args.cpus],
+                env=child_env(), capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
+            if done.returncode != 0:
+                sys.stderr.write(done.stderr)
+                print(f"error: point {text} failed", file=sys.stderr)
+                return 1
+            runs.append(json.loads(done.stdout))
+        results.append(merge(runs))
         print(json.dumps(results[-1]), flush=True)
 
-    column = {"machine": machine(), "repeats": args.repeats, "points": results}
+    column = {"machine": machine(), "cpus": args.cpus, "repeats": args.repeats,
+              "points": results}
     if args.out:
         data = {"about": "tools/bench_layers.py: per point, peak_rss_mb of one row in a "
                          "fresh process and medians in seconds of the layers and of a row",
