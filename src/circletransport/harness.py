@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .logseq import LogSequenceSpec, _RowPieces, closed_form_cdf, frac_log, reference_rotation
+from .logseq import (LogSequenceSpec, _positive_int, _RowPieces, closed_form_cdf, frac_log,
+                     reference_rotation)
 from .measures import cdf_wrapped_exponential, delta_profile
 from .transport import integral_abs, w1_circle_profile
 
@@ -63,15 +64,13 @@ class SweepConfig:
     threads: int = field(default_factory=lambda: os.cpu_count() or 1)
 
     def __post_init__(self):
-        if not 1 <= self.n_min <= self.n_max:
+        for name in ("n_min", "points_per_decade", "threads"):
+            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
+        if not self.n_min <= self.n_max:
             raise ValueError(f"need 1 <= n_min <= n_max, got [{self.n_min}, {self.n_max}]")
         LogSequenceSpec(self.base, self.n_max)  # the base and the int64 envelope
-        if self.points_per_decade < 1:
-            raise ValueError("points_per_decade must be >= 1")
         if self.n_min < self.base:
             raise ValueError(f"n_min must be at least the base ({self.base})")
-        if self.threads < 1:
-            raise ValueError("thread budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -185,6 +184,9 @@ def fit_rate(rows: list[MetricsRow], column: str) -> RateFit:
     pts = sorted({r.N: getattr(r, column) for r in rows}.items())
     if len(pts) < 3:
         raise ValueError(f"rate fit needs >= 3 rows with distinct N, got {len(pts)}")
+    for N, v in pts:
+        if not math.isfinite(v):  # a line-only row reads NaN in the circle columns
+            raise ValueError(f"rate fit needs a finite {column} on every row, got {v} at N={N}")
     x = np.array([1.0 / math.log(N) for N, _ in pts])
     y = np.array([v for _, v in pts])
     slope, intercept = np.polyfit(x, y, 1)

@@ -43,13 +43,12 @@ _EDGE_TOL = 1e-12  # slack for CDF sanity checks (monotone, total mass)
 def _frozen(a) -> np.ndarray:
     """``a`` as a read-only float64 array that no caller can write.
 
-    A read-only float64 array, contiguous or of stride 0 (one value made
-    long by ``np.broadcast_to``), is kept as given; anything else, a
+    A read-only contiguous float64 array is kept as given; anything else, a
     writeable array in particular, is copied.  The builders of this package
     mark their fresh arrays read-only (``_sealed``), so they pay no copy.
     """
     out = np.asarray(a, dtype=np.float64)
-    if out.flags.writeable or not (out.flags.c_contiguous or out.strides == (0,)):
+    if out.flags.writeable or not out.flags.c_contiguous:
         out = _sealed(np.array(out))
     return out
 
@@ -58,12 +57,6 @@ def _sealed(a: np.ndarray) -> np.ndarray:
     """``a``, marked read-only: for a fresh array that no one else holds."""
     a.setflags(write=False)
     return a
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The values a check of ``a`` must see: an array of stride 0 repeats
-    its first value, so that one stands for all of them."""
-    return a[:1] if a.strides == (0,) else a
 
 
 def _check_base(base) -> int:
@@ -103,13 +96,11 @@ class _PiecewiseBase:
 
     Construction validates the base and the piece arrays and stores them
     read-only.  A writeable array is copied, so a caller's array keeps its
-    flags and cannot change the instance.  A read-only float64 array,
-    contiguous or of stride 0, is stored as given: the package's builders
-    hand over fresh arrays marked read-only, so a row holds no second set
-    of piece arrays, and a step CDF's zero ``coef`` is one value of stride
-    0, not an array of P zeros.  Instances compare and hash by identity
-    (``eq=False``): a field-wise ``==`` over numpy arrays has no single
-    truth value.
+    flags and cannot change the instance.  A read-only contiguous float64
+    array is stored as given: the package's builders hand over fresh arrays
+    marked read-only, so a row holds no second set of piece arrays.
+    Instances compare and hash by identity (``eq=False``): a field-wise
+    ``==`` over numpy arrays has no single truth value.
     Subclasses add no fields and no decorator, which would bring the
     generated ``__eq__`` back.
     """
@@ -125,17 +116,14 @@ class _PiecewiseBase:
         bounds, coef, offset = self.bounds, self.coef, self.offset
         if bounds.ndim != 1 or coef.shape != offset.shape or coef.size != bounds.size - 1:
             raise ValueError("inconsistent piece array shapes")
-        # each test is written so that a NaN fails it, and none allocates a
-        # temporary longer than a span of pieces
+        # each test is written so that a NaN fails it
         if not (bounds.size >= 2 and bounds[0] == 0.0 and bounds[-1] == 1.0):
             raise ValueError("pieces must cover [0, 1)")
-        for start, stop in spans(coef.size):
-            if not np.all(bounds[start + 1:stop + 1] > bounds[start:stop]):
-                raise ValueError("piece bounds must be strictly increasing")
-        # a NaN or inf anywhere makes the sum of squares non-finite; two dot
-        # products allocate no temporary (values past 1e154 in magnitude
-        # would overflow it too, far outside this family's range)
-        coef, offset = _distinct(coef), _distinct(offset)
+        if not np.all(bounds[1:] > bounds[:-1]):
+            raise ValueError("piece bounds must be strictly increasing")
+        # a NaN or inf anywhere makes the sum of squares non-finite (values
+        # past 1e154 in magnitude would overflow it too, far outside this
+        # family's range)
         if not math.isfinite(float(coef @ coef + offset @ offset)):
             raise ValueError("piece coefficients and offsets must be finite")
         _check_base(self.base)
@@ -201,22 +189,16 @@ class PiecewiseCdf(_PiecewiseBase):
     def __post_init__(self):
         super().__post_init__()
         coef, offset = self.coef, self.offset
-        if not _distinct(coef).min() >= 0.0:
+        if not coef.min() >= 0.0:
             raise ValueError("CDF pieces must be non-decreasing (coef >= 0)")
-        exponential = bool(_distinct(coef).any())  # else coef * b**t adds exactly 0
-        end = -math.inf  # no jump before the first piece
-        for start, stop in spans(coef.size):
-            starts = ends = offset[start:stop]
-            if exponential:
-                a = coef[start:stop]
-                powers = np.power(float(self.base), self.bounds[start:stop + 1])
-                starts, ends = a * powers[:-1] + starts, a * powers[1:] + starts
-            # the span's first jump is from the last end value of the span before
-            if not (starts[0] - end >= -_EDGE_TOL and np.all(starts[1:] - ends[:-1] >= -_EDGE_TOL)):
-                raise ValueError("negative jump at a piece boundary")
-            end = ends[-1]
+        starts = ends = offset
+        if coef.any():  # else coef * b**t adds exactly 0
+            powers = np.power(float(self.base), self.bounds)
+            starts, ends = coef * powers[:-1] + offset, coef * powers[1:] + offset
+        if not np.all(starts[1:] - ends[:-1] >= -_EDGE_TOL):
+            raise ValueError("negative jump at a piece boundary")
         # the first piece starts at b**0 = 1, so its start value is coef + offset
-        if not (coef[0] + offset[0] >= -_EDGE_TOL and abs(end - 1.0) <= _EDGE_TOL):
+        if not (coef[0] + offset[0] >= -_EDGE_TOL and abs(ends[-1] - 1.0) <= _EDGE_TOL):
             raise ValueError("CDF must rise from 0 to a left limit of 1 at t=1")
 
 
@@ -262,19 +244,14 @@ def build_empirical(positions, base: int) -> CircleEmpirical:
     return CircleEmpirical(base=base, positions=_sealed(np.sort(pos)))
 
 
-_ZERO = _sealed(np.zeros(1))
-
-
 def _step_cdf(base: int, bounds: np.ndarray, levels: np.ndarray) -> PiecewiseCdf:
     """The step CDF taking ``levels`` on the pieces between ``bounds``.
 
     Both arrays are fresh and held by no one else: they are sealed, not
-    copied.  The ``coef`` is zero on every piece as one value of stride 0
-    (what ``np.broadcast_to(0.0, size)`` makes, at a quarter of its cost
-    per call).
+    copied.
     """
-    coef = np.ndarray((levels.size,), buffer=_ZERO, strides=(0,))
-    return PiecewiseCdf(base=base, bounds=_sealed(bounds), coef=coef, offset=_sealed(levels))
+    return PiecewiseCdf(base=base, bounds=_sealed(bounds), coef=_sealed(np.zeros(levels.size)),
+                        offset=_sealed(levels))
 
 
 def cdf_of_empirical(m: CircleEmpirical) -> PiecewiseCdf:
@@ -382,18 +359,12 @@ def delta_profile(F: PiecewiseCdf, G: PiecewiseCdf) -> DeltaProfile:
     per bound of G, and every index array is as long as G's bounds.
 
     ``coef`` and ``offset`` are each F's array refined by the insert, minus
-    G's refined by the repeat span by span, in place.  An array of F of
-    stride 0, such as a step CDF's zero ``coef``, is one value on every
-    joint piece: it is not refined, and the result is that value minus
-    G's whole refinement, in the refinement's place.  So besides the result
-    and the index arrays over G's bounds only span-sized temporaries are
-    alive.  Each joint piece takes the one subtraction
+    G's refined by the repeat.  Each joint piece takes the one subtraction
     ``F.coef[fi] - G.coef[gi]`` would, with ``fi`` and ``gi`` its pieces in
     F and G, so the bits are those of that gather, down to the sign of
     every zero.
     """
-    f_exp = bool(_distinct(F.coef).any())
-    g_exp = bool(_distinct(G.coef).any())
+    f_exp, g_exp = bool(F.coef.any()), bool(G.coef.any())
     if f_exp and g_exp and F.base != G.base:
         raise ValueError(
             f"cannot difference exponential pieces with bases {F.base} and {G.base}")
@@ -404,31 +375,17 @@ def delta_profile(F: PiecewiseCdf, G: PiecewiseCdf) -> DeltaProfile:
     ins = at[new]
     # bound i of G lands after the bounds of F below it and the new bounds before it
     landed = at + np.cumsum(new) - new
-    bounds = np.insert(F.bounds, ins, G.bounds[new])
-
-    def refined_difference(x, y):  # x over the pieces of F, y over G's
-        if x.strides == (0,):
-            out = np.repeat(y, np.diff(landed))
-            return np.subtract(x[0], out, out=out)
-        out = np.insert(x, ins, x[ins - 1])
-        i = 1  # the piece of G that meets a span first is i - 1
-        for start, stop in spans(out.size):
-            # pieces i - 1 to j - 1 of G meet the span; cut them to it
-            j = landed.searchsorted(stop, side="right")
-            edges = landed[i - 1:j + 1].copy()
-            edges[0], edges[-1] = start, stop
-            joint = out[start:stop]
-            np.subtract(joint, np.repeat(y[i - 1:j], edges[1:] - edges[:-1]), out=joint)
-            i = j
-        return out
+    repeats = np.diff(landed)
 
     # DeltaProfile(...) would check again what holds by construction: the
     # joint bounds are the union of two valid covers, and differences of
     # finite values (below 1e154, see _PiecewiseBase) are finite
     profile = object.__new__(DeltaProfile)
     object.__setattr__(profile, "base", base)
-    object.__setattr__(profile, "bounds", _sealed(bounds))
+    object.__setattr__(profile, "bounds", _sealed(np.insert(F.bounds, ins, G.bounds[new])))
     for name in ("coef", "offset"):
-        value = refined_difference(getattr(F, name), getattr(G, name))
+        x, y = getattr(F, name), getattr(G, name)  # over the pieces of F and of G
+        value = np.insert(x, ins, x[ins - 1])
+        value -= np.repeat(y, repeats)
         object.__setattr__(profile, name, _sealed(value))
     return profile

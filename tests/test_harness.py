@@ -132,6 +132,18 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate(rows, "d_line")
 
+    def test_rejects_a_circle_column_of_line_only_rows(self):
+        rows = [compute_metrics(10, N, ("line",)) for N in (100, 1000, 10000)]
+        assert fit_rate(rows, "scaled_line").intercept > 0.0
+        with pytest.raises(ValueError, match="finite scaled_circle_sqrt on every row, got nan"):
+            fit_rate(rows, "scaled_circle_sqrt")
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_value(self, bad):
+        rows = self.synth_rows({10: 1.0, 100: bad, 1000: 3.0})
+        with pytest.raises(ValueError, match=f"finite scaled_line on every row, got {bad} at N=100"):
+            fit_rate(rows, "scaled_line")
+
 
 class TestSweep:
     CFG = dict(base=10, n_min=100, n_max=3000, points_per_decade=2)
@@ -188,6 +200,19 @@ class TestSweep:
             SweepConfig(base=10, points_per_decade=0)
         with pytest.raises(ValueError):
             SweepConfig(base=10, threads=0)
+
+    # each case only builds the config: run_sweep with threads=nan used to
+    # wait forever on a pool that starts no worker
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.5, 0, -1])
+    @pytest.mark.parametrize("name", ["threads", "points_per_decade", "n_min"])
+    def test_config_refuses_a_setting_that_is_not_a_positive_integer(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got "):
+            SweepConfig(base=10, **{name: value})
+
+    def test_config_stores_integral_floats_as_ints(self):
+        cfg = SweepConfig(base=10, n_min=100.0, points_per_decade=4.0, threads=2.0)
+        assert [type(v) for v in (cfg.n_min, cfg.points_per_decade, cfg.threads)] == [int] * 3
+        assert cfg == SweepConfig(base=10, n_min=100, points_per_decade=4, threads=2)
 
 
 class TestPhaseClasses:
