@@ -8,17 +8,17 @@ offered.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .logseq import (LogSequenceSpec, _positive_int, _RowPieces, closed_form_cdf, frac_log,
+from . import transport
+from .logseq import (LogSequenceSpec, _cpus, _positive_int, _RowPieces, closed_form_cdf, frac_log,
                      reference_rotation)
 from .measures import cdf_wrapped_exponential, delta_profile
-from .transport import integral_abs, w1_circle_profile
+from .transport import integral_abs
 
 __all__ = [
     "SweepConfig",
@@ -61,10 +61,10 @@ class SweepConfig:
     n_max: int = 10 ** 6
     points_per_decade: int = 4
     out: str | None = None
-    threads: int = field(default_factory=lambda: os.cpu_count() or 1)
+    threads: int = field(default_factory=_cpus)
 
     def __post_init__(self):
-        for name in ("n_min", "points_per_decade", "threads"):
+        for name in ("n_min", "n_max", "points_per_decade", "threads"):
             object.__setattr__(self, name, _positive_int(getattr(self, name), name))
         if not self.n_min <= self.n_max:
             raise ValueError(f"need 1 <= n_min <= n_max, got [{self.n_min}, {self.n_max}]")
@@ -124,14 +124,16 @@ def compute_metrics(base: int, N: int, metrics: tuple[str, ...] = _METRICS) -> M
         raise ValueError(f"need N >= base, got N={N} base={base}")
     start = time.perf_counter()
     G = cdf_wrapped_exponential(base, reference_rotation(base, N))
-    if "circle" not in metrics:  # a line row streams its pieces, in span-sized memory
-        d_line, d_circle, offset_c = integral_abs(_RowPieces(spec, G), 0.0), math.nan, math.nan
-    else:
-        # only the profile outlives this line, so F does not add to the row's peak
-        profile = delta_profile(closed_form_cdf(base, N), G)
-        d_line = integral_abs(profile, 0.0) if "line" in metrics else math.nan
-        circle = w1_circle_profile(profile)
-        d_circle, offset_c = circle.distance, circle.offset
+    # the offset search rereads the pieces, so a circle row holds them in a
+    # profile (only the profile outlives this line, so F does not add to the
+    # row's peak); a line row streams them, in span-sized memory
+    cover = (delta_profile(closed_form_cdf(base, N), G) if "circle" in metrics
+             else _RowPieces(spec, G))
+    d_line = integral_abs(cover, 0.0) if "line" in metrics else math.nan
+    d_circle = offset_c = math.nan
+    if "circle" in metrics:
+        offset_c = transport.median_offset(cover)  # the benchmark's tracer rebinds it there
+        d_circle = integral_abs(cover, offset_c)
     elapsed = time.perf_counter() - start
     log_n = math.log(N)
     return MetricsRow(

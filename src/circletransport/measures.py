@@ -65,7 +65,8 @@ def _check_base(base) -> int:
     Returns the base as an ``int``, so a float base such as 3.0 computes
     with exact integer powers.
     """
-    if base < 2 or int(base) != base:
+    # written so that a NaN and an infinity fail it
+    if not 2 <= base < math.inf or int(base) != base:
         raise ValueError(f"base must be an integer >= 2, got {base}")
     return int(base)
 

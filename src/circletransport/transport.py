@@ -59,7 +59,6 @@ __all__ = [
     "median_offset",
     "w1_line",
     "w1_circle",
-    "w1_circle_profile",
 ]
 
 
@@ -425,15 +424,6 @@ def median_offset(profile: DeltaProfile) -> float:
     return hi
 
 
-def w1_circle_profile(profile: DeltaProfile) -> TransportResult:
-    """Kantorovich distance on the circle for the difference profile ``F - G``.
-
-    The same as ``w1_circle`` for callers that already hold the profile.
-    """
-    c = median_offset(profile)
-    return TransportResult(integral_abs(profile, c), c)
-
-
 def w1_line(F: PiecewiseCdf, G: PiecewiseCdf) -> TransportResult:
     """Kantorovich distance on [0, 1]: the L1 norm of the CDF difference."""
     return TransportResult(integral_abs(delta_profile(F, G), 0.0), 0.0)
@@ -446,5 +436,7 @@ def w1_circle(F: PiecewiseCdf, G: PiecewiseCdf) -> TransportResult:
     broken deterministically); the distance never exceeds the line distance
     or the circle diameter 1/2.
     """
-    return w1_circle_profile(delta_profile(F, G))
+    profile = delta_profile(F, G)
+    c = median_offset(profile)
+    return TransportResult(integral_abs(profile, c), c)
 

@@ -34,7 +34,7 @@ BASE_CHECKED = {
 }
 
 
-@pytest.mark.parametrize("base", [1, 2.5])
+@pytest.mark.parametrize("base", [1, 2.5, math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("name", sorted(BASE_CHECKED))
 def test_every_entry_point_refuses_a_bad_base(name, base):
     with pytest.raises(ValueError, match=r"^base must be an integer >= 2, got "):

@@ -17,8 +17,9 @@ from circletransport import (
     verify,
     write_csv,
 )
-from circletransport import harness
+from circletransport import harness, transport
 from circletransport.harness import _decade_medians, _phase_classes
+from conftest import affinity, one_cpu_and_all
 
 LN2 = math.log(2)
 
@@ -61,15 +62,17 @@ class TestComputeMetrics:
         with pytest.raises(ValueError, match="supported"):
             compute_metrics(2, 2 ** 62)
 
-    # calls of the names compute_metrics looks up on the harness module, which
-    # the benchmark's tracer rebinds: (closed_form_cdf, delta_profile, integral_abs)
+    # calls of the names compute_metrics looks up, which the benchmark's tracer
+    # rebinds: (closed_form_cdf, delta_profile, integral_abs) on the harness
+    # module and median_offset on the transport module
     @pytest.mark.parametrize("metrics,calls", [
-        (("line",), (0, 0, 1)),
-        (("line", "circle"), (1, 1, 1)),
-        (("circle",), (1, 1, 0)),
+        (("line",), (0, 0, 1, 0)),
+        (("line", "circle"), (1, 1, 2, 1)),
+        (("circle",), (1, 1, 1, 1)),
     ], ids=["line", "both", "circle"])
     def test_each_row_kind_calls_the_rebound_names(self, metrics, calls, monkeypatch):
-        names = ("closed_form_cdf", "delta_profile", "integral_abs")
+        names = ((harness, "closed_form_cdf"), (harness, "delta_profile"),
+                 (harness, "integral_abs"), (transport, "median_offset"))
         counts = dict.fromkeys(names, 0)
 
         def counted(name, fn):
@@ -79,7 +82,7 @@ class TestComputeMetrics:
             return wrapper
 
         for name in names:
-            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+            monkeypatch.setattr(*name, counted(name, getattr(*name)))
         compute_metrics(10, 1000, metrics)
         assert tuple(counts[name] for name in names) == calls
 
@@ -204,15 +207,21 @@ class TestSweep:
     # each case only builds the config: run_sweep with threads=nan used to
     # wait forever on a pool that starts no worker
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.5, 0, -1])
-    @pytest.mark.parametrize("name", ["threads", "points_per_decade", "n_min"])
+    @pytest.mark.parametrize("name", ["threads", "points_per_decade", "n_min", "n_max"])
     def test_config_refuses_a_setting_that_is_not_a_positive_integer(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got "):
             SweepConfig(base=10, **{name: value})
 
     def test_config_stores_integral_floats_as_ints(self):
-        cfg = SweepConfig(base=10, n_min=100.0, points_per_decade=4.0, threads=2.0)
-        assert [type(v) for v in (cfg.n_min, cfg.points_per_decade, cfg.threads)] == [int] * 3
-        assert cfg == SweepConfig(base=10, n_min=100, points_per_decade=4, threads=2)
+        cfg = SweepConfig(base=10, n_min=100.0, n_max=1e6, points_per_decade=4.0, threads=2.0)
+        names = ("n_min", "n_max", "points_per_decade", "threads")
+        assert [type(getattr(cfg, name)) for name in names] == [int] * 4
+        assert cfg == SweepConfig(base=10, n_min=100, n_max=10 ** 6, points_per_decade=4, threads=2)
+
+    def test_default_threads_are_the_cpus_the_thread_may_run_on(self):
+        # as a line row counts them (logseq._cpus), not the machine's
+        with affinity(one_cpu_and_all()[0]):
+            assert SweepConfig(base=10).threads == 1
 
 
 class TestPhaseClasses:

@@ -8,26 +8,29 @@ a ``BENCH_*.json`` file.
 Each point ``base:N:metrics`` (``metrics`` is ``line`` or ``both``) runs in
 a fresh interpreter, or in ``SMALL_PROCESSES`` fresh interpreters one after
 the other at N <= ``SMALL_N``: there one process's times spread by 30-50%
-from one process to the next.  A process first computes one row with
-``compute_metrics`` and reads its peak RSS (``ru_maxrss``), so
-``peak_rss_mb`` is that of one row plus the imports.  Then it calls the
-layers of the materialized profile, ``--repeats`` times, and times each
-call: ``closed_form_cdf``, ``cdf_wrapped_exponential``, ``delta_profile``,
-``integral_abs`` at c = 0 (line), ``median_offset`` and ``integral_abs`` at
-the offset (circle).  A whole ``compute_metrics`` row is timed as often.  Every time is the median
-of the repeats, in seconds; over several processes, the median of their
-medians, and ``peak_rss_mb`` the median of their peaks.
+from one process to the next.  N is an integer literal, or a float form
+such as 1e7 that is integral and below 2**53.  A process first computes one
+row with ``compute_metrics`` and reads its peak RSS (``ru_maxrss``), so
+``peak_rss_mb`` is that of one row plus the imports.  Then it computes
+``--repeats`` rows with the names a row looks up wrapped, and times each
+call, and as many rows unwrapped, which give ``row_s``.  A row's
+first ``integral_abs`` is its line integral and its last is its circle
+integral.  Every time is the median of the repeats, in seconds; over
+several processes, the median of their medians, and ``peak_rss_mb`` the
+median of their peaks.
 
 ``--cpus one`` pins each process to one of its CPUs before the first row;
 ``--cpus all`` (the default) leaves it on all of them.  Only a line row of
 two spans or more uses a second CPU (see ``logseq._RowPieces.spans``).
 
-At ``both`` points these are the calls that ``compute_metrics`` makes.  A
-line-only row makes only ``cdf_wrapped_exponential`` and one
-``integral_abs``, over pieces streamed span by span from the closed form
-(``logseq._RowPieces``), not over a profile.  So at ``line`` points the
-layers time the profile path that the stream reproduces bit for bit, and
-only ``row_s`` and ``peak_rss_mb`` measure the stream.
+The layers are the calls a row makes.  A ``both`` row builds the step CDF
+(``closed_form_cdf``), the reference (``cdf_wrapped_exponential``) and the
+difference profile (``delta_profile``), then takes ``integral_abs`` at
+c = 0, ``median_offset`` and ``integral_abs`` at the offset.  A line-only
+row streams its pieces span by span from the closed form
+(``logseq._RowPieces``), so its point lists only
+``cdf_wrapped_exponential`` and ``integral_abs_line``; the stream's writing
+is timed inside the integral.
 
 The column goes into ``--out`` under ``--column``; other columns already in
 the file are kept, so two trees (say a parent commit and a change, each put
@@ -57,36 +60,46 @@ SMALL_PROCESSES = 5
 
 def measure_point(base: int, N: int, metrics: str, repeats: int) -> dict:
     """One point, measured in this process: call it in a fresh one."""
-    from circletransport.harness import compute_metrics
-    from circletransport.logseq import closed_form_cdf, reference_rotation
-    from circletransport.measures import cdf_wrapped_exponential, delta_profile
-    from circletransport.transport import integral_abs, median_offset
+    from circletransport import harness, transport
 
     which = ("line",) if metrics == "line" else ("line", "circle")
-    compute_metrics(base, N, which)
+    harness.compute_metrics(base, N, which)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     times: dict[str, list[float]] = {}
+    covers = []  # the covers a row integrates, first the line's
 
-    def timed(name, fn, *args):
-        start = time.perf_counter()
-        out = fn(*args)
-        times.setdefault(name, []).append(time.perf_counter() - start)
-        return out
+    def timed(name, fn):
+        def wrapper(*args):
+            label = name
+            if name == "integral_abs":
+                covers.append(args[0])
+                label += "_line" if len(covers) == 1 else "_circle"
+            start = time.perf_counter()
+            out = fn(*args)
+            times.setdefault(label, []).append(time.perf_counter() - start)
+            return out
+        return wrapper
 
+    # the names a row looks up, wrapped for the timed rows
+    targets = [(harness, "closed_form_cdf"), (harness, "cdf_wrapped_exponential"),
+               (harness, "delta_profile"), (harness, "integral_abs"),
+               (transport, "median_offset")]
+    saved = [getattr(module, name) for module, name in targets]
+    wrapped = [timed(name, fn) for (_, name), fn in zip(targets, saved)]
     for _ in range(repeats):
-        F = timed("closed_form_cdf", closed_form_cdf, base, N)
-        G = timed("cdf_wrapped_exponential", cdf_wrapped_exponential,
-                  base, reference_rotation(base, N))
-        profile = timed("delta_profile", delta_profile, F, G)
-        del F, G  # as in a circle row, only the profile outlives the merge
-        timed("integral_abs_line", integral_abs, profile, 0.0)
-        if "circle" in which:
-            c = timed("median_offset", median_offset, profile)
-            timed("integral_abs_circle", integral_abs, profile, c)
-        pieces = profile.piece_count
-        del profile
-        timed("row", compute_metrics, base, N, which)
+        for (module, name), fn in zip(targets, wrapped):
+            setattr(module, name, fn)
+        try:
+            harness.compute_metrics(base, N, which)
+        finally:
+            for (module, name), fn in zip(targets, saved):
+                setattr(module, name, fn)
+        pieces = covers[0].piece_count
+        covers.clear()  # no cover outlives its row
+        start = time.perf_counter()
+        harness.compute_metrics(base, N, which)
+        times.setdefault("row", []).append(time.perf_counter() - start)
     return {"base": base, "N": N, "metrics": list(which), "pieces": pieces,
             "peak_rss_mb": round(peak_rss_mb, 1),
             "row_s": statistics.median(times.pop("row")),
@@ -106,13 +119,25 @@ def merge(runs: list[dict]) -> dict:
     return point
 
 
+def parse_count(text: str) -> int:
+    """An integer literal, or a float form such as 1e7 that is integral and below 2**53."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not (value.is_integer() and abs(value) < 2 ** 53):
+        raise ValueError(text)
+    return int(value)
+
+
 def parse_point(text: str) -> tuple[int, int, str]:
     """``base:N:metrics``; N may be written as 1e6."""
     try:
         base, N, metrics = text.split(":")
-        point = int(base), int(float(N)), metrics
+        point = int(base), parse_count(N), metrics
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected base:N:line|both, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected base:N:line|both with an integer N, got {text!r}") from None
     if metrics not in ("line", "both"):
         raise argparse.ArgumentTypeError(f"metrics must be line or both, got {metrics!r}")
     return point
