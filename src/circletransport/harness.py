@@ -147,8 +147,15 @@ def compute_metrics(base: int, N: int, metrics: tuple[str, ...] = _METRICS) -> M
 
 
 def run_sweep(cfg: SweepConfig) -> list[MetricsRow]:
-    """Compute the grid rows on ``cfg.threads`` threads and write the CSV."""
+    """Compute the grid rows on ``cfg.threads`` threads and write the CSV.
+
+    The CSV is created before any row runs, so a path that cannot be
+    written raises ``OSError`` at once, not after the whole grid; a row
+    that raises leaves the file empty.
+    """
     grid = decade_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade)
+    if cfg.out is not None:
+        open(cfg.out, "w").close()
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         rows = list(pool.map(lambda N: compute_metrics(cfg.base, N), grid))  # grid order
     if cfg.out is not None:

@@ -120,7 +120,7 @@ class _PiecewiseBase:
         # each test is written so that a NaN fails it
         if not (bounds.size >= 2 and bounds[0] == 0.0 and bounds[-1] == 1.0):
             raise ValueError("pieces must cover [0, 1)")
-        if not np.all(bounds[1:] > bounds[:-1]):
+        if not np.logical_and.reduce(bounds[1:] > bounds[:-1]):
             raise ValueError("piece bounds must be strictly increasing")
         # a NaN or inf anywhere makes the sum of squares non-finite (values
         # past 1e154 in magnitude would overflow it too, far outside this
@@ -190,13 +190,13 @@ class PiecewiseCdf(_PiecewiseBase):
     def __post_init__(self):
         super().__post_init__()
         coef, offset = self.coef, self.offset
-        if not coef.min() >= 0.0:
+        if not np.minimum.reduce(coef) >= 0.0:
             raise ValueError("CDF pieces must be non-decreasing (coef >= 0)")
         starts = ends = offset
-        if coef.any():  # else coef * b**t adds exactly 0
+        if np.logical_or.reduce(coef):  # else coef * b**t adds exactly 0
             powers = np.power(float(self.base), self.bounds)
             starts, ends = coef * powers[:-1] + offset, coef * powers[1:] + offset
-        if not np.all(starts[1:] - ends[:-1] >= -_EDGE_TOL):
+        if not np.logical_and.reduce(starts[1:] - ends[:-1] >= -_EDGE_TOL):
             raise ValueError("negative jump at a piece boundary")
         # the first piece starts at b**0 = 1, so its start value is coef + offset
         if not (coef[0] + offset[0] >= -_EDGE_TOL and abs(ends[-1] - 1.0) <= _EDGE_TOL):
@@ -349,44 +349,54 @@ def delta_profile(F: PiecewiseCdf, G: PiecewiseCdf) -> DeltaProfile:
     equals its neighbour.
 
     The bounds of G are merged into those of F, whichever cover is longer:
-    a row's F has N - floor(N/b) pieces and its G one or two.  The joint
-    bounds are made by one ``np.insert`` of the bounds of G that F lacks,
-    at the positions ``ins`` of F.  A new bound splits the piece of F
-    before it, so an array over the pieces of F refines to
-    ``np.insert(x, ins, x[ins - 1])``.  Bound ``i`` of G lands at
-    ``bounds[landed[i]]``, so piece ``i`` of G covers the joint pieces from
-    ``landed[i]`` up to ``landed[i + 1]``, and an array over its pieces
-    refines to ``np.repeat(y, np.diff(landed))``.  The only search is one
-    per bound of G, and every index array is as long as G's bounds.
+    a row's F has N - floor(N/b) pieces and its G one or two.  Bound ``i``
+    of G lands at ``bounds[landed[i]]``: after the bounds of F below it and
+    the new bounds before it.  The bounds that F lacks land at ``fresh``,
+    and one mask ``kept`` marks the places of F's own bounds; the last of
+    them is F's 1, so the rest of the mask marks the places of F's pieces.
+    A new bound splits the piece of F before it, so an array ``x`` over
+    the pieces of F refines to ``x`` at the kept places and ``x[ins - 1]``
+    at ``fresh``, ``ins`` being the bounds of F that the new ones precede.
+    Piece ``i`` of G covers the joint pieces from ``landed[i]`` up to
+    ``landed[i + 1]``, so an array ``y`` over its pieces refines to
+    ``y.repeat(landed[1:] - landed[:-1])``.  The only search is one per
+    bound of G, and every index array is as long as G's bounds.
 
-    ``coef`` and ``offset`` are each F's array refined by the insert, minus
+    ``coef`` and ``offset`` are each F's array refined by the mask, minus
     G's refined by the repeat.  Each joint piece takes the one subtraction
     ``F.coef[fi] - G.coef[gi]`` would, with ``fi`` and ``gi`` its pieces in
     F and G, so the bits are those of that gather, down to the sign of
     every zero.
     """
-    f_exp, g_exp = bool(F.coef.any()), bool(G.coef.any())
+    f_exp, g_exp = bool(np.logical_or.reduce(F.coef)), bool(np.logical_or.reduce(G.coef))
     if f_exp and g_exp and F.base != G.base:
         raise ValueError(
             f"cannot difference exponential pieces with bases {F.base} and {G.base}")
     base = F.base if f_exp or not g_exp else G.base
 
-    at = np.searchsorted(F.bounds, G.bounds)  # F.bounds[at - 1] < G.bounds <= F.bounds[at]
+    at = F.bounds.searchsorted(G.bounds)  # F.bounds[at - 1] < G.bounds <= F.bounds[at]
     new = F.bounds[at] != G.bounds  # both covers end at 1, so at < F.bounds.size
     ins = at[new]
-    # bound i of G lands after the bounds of F below it and the new bounds before it
-    landed = at + np.cumsum(new) - new
-    repeats = np.diff(landed)
+    landed = at + new.cumsum() - new
+    repeats = landed[1:] - landed[:-1]
+    fresh = landed[new]
+    kept = np.ones(landed[-1] + 1, dtype=bool)  # G's last bound, 1, lands last
+    kept[fresh] = False
 
     # DeltaProfile(...) would check again what holds by construction: the
     # joint bounds are the union of two valid covers, and differences of
     # finite values (below 1e154, see _PiecewiseBase) are finite
     profile = object.__new__(DeltaProfile)
     object.__setattr__(profile, "base", base)
-    object.__setattr__(profile, "bounds", _sealed(np.insert(F.bounds, ins, G.bounds[new])))
+    bounds = np.empty(kept.size)
+    bounds[kept] = F.bounds
+    bounds[fresh] = G.bounds[new]
+    object.__setattr__(profile, "bounds", _sealed(bounds))
     for name in ("coef", "offset"):
         x, y = getattr(F, name), getattr(G, name)  # over the pieces of F and of G
-        value = np.insert(x, ins, x[ins - 1])
-        value -= np.repeat(y, repeats)
+        value = np.empty(kept.size - 1)
+        value[kept[:-1]] = x
+        value[fresh] = x[ins - 1]
+        value -= y.repeat(repeats)
         object.__setattr__(profile, name, _sealed(value))
     return profile

@@ -55,7 +55,7 @@ def block_sums(values) -> list[float]:
     if v.size <= _BLOCK:
         return v.tolist()
     nfull = (v.size // _BLOCK) * _BLOCK
-    parts = v[:nfull].reshape(-1, _BLOCK).sum(axis=1).tolist()
+    parts = np.add.reduce(v[:nfull].reshape(-1, _BLOCK), axis=1).tolist()
     if nfull < v.size:
         parts.append(math.fsum(v[nfull:].tolist()))
     return parts

@@ -38,6 +38,15 @@ the slope picks and whether or not the list of steps ends the search.
 Rounding does not guarantee it: numpy's SIMD ``np.log`` is faithfully
 rounded, not correctly rounded.  ``test_level_is_monotone_around_the_median``
 checks it float by float around the median of four metrics rows.
+
+A row of a few thousand pieces costs its numpy calls more than its length,
+so every numpy call on a row's path reaches C at once: a ufunc, a ufunc
+method such as ``np.add.reduce``, or an ndarray method that is C code
+(``nonzero``, ``searchsorted``, ``cumsum``, ``repeat``).  numpy's
+Python-level wrappers (``np.sum``, ``np.clip``, ``np.insert``,
+``np.flatnonzero``, and ``ndarray.sum``, ``min``, ``any`` and the like) run
+the same C loops on the same operands after 2-14 us of Python each, about
+a fifth of a small row.
 """
 
 from __future__ import annotations
@@ -126,13 +135,14 @@ def integral_abs(profile, c: float) -> float:
             # the end values' product is negative only on exponential pieces (a != 0)
             np.add(np.multiply(a, pow_lo, out=values), shift, out=values)
             values *= np.add(np.multiply(a, pow_hi, out=e), shift, out=e)
-            split = np.flatnonzero(values < 0.0)
+            split = (values < 0.0).nonzero()[0]
             if split.size:
                 if split_rows is None:
                     split_rows = np.empty((2, span_max))
                 part, mid = split_rows[:, :a.size]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    root = np.log(-shift[split] / a[split]) / log_b
+                # the end values differ in sign only where shift and a do, so
+                # -shift / a > 0 (short of underflow) and the log does not warn
+                root = np.log(-shift[split] / a[split]) / log_b
                 inside = (root > lo[split]) & (root < hi[split])
                 split, root = split[inside], root[inside]
                 np.copyto(mid, hi)
@@ -199,7 +209,7 @@ class _LevelProfile(DeltaProfile):
         # over a piece to (v_hi - v_lo) / ln b + d * width; the pass's
         # scratch buffer holds the rises until then
         self.diff = np.subtract(v_hi, v_lo)
-        self.mean = (float(np.sum(self.diff)) / self.log_b
+        self.mean = (float(np.add.reduce(self.diff)) / self.log_b
                      + float(np.dot(self.offset, self.width)))
         del v_lo, v_hi  # freed before the last buffer is made
         # with every piece active the pass writes the buffer in place
@@ -218,7 +228,7 @@ class _LevelProfile(DeltaProfile):
         """
         v_min, v_max = self.v_min, self.v_max
         below = v_max <= lo
-        index = np.flatnonzero(~below & (v_min <= hi))
+        index = (~below & (v_min <= hi)).nonzero()[0]
         self.bracket = (lo, hi)
         if index.size == below.size:
             return
@@ -257,7 +267,7 @@ class _LevelProfile(DeltaProfile):
         dist, scratch = self.diff, self.w
         # the least |c - d| over the bracket: its distance to d, <= 0 when d lies in it
         np.maximum(np.subtract(lo, d, out=dist), np.subtract(d, hi, out=scratch), out=dist)
-        gap = np.min(dist, where=curved, initial=math.inf)
+        gap = np.minimum.reduce(dist, where=curved, initial=math.inf)
         points = []
         if gap < math.inf:
             # the ulp below the least |c - d|: ties at a binade's edge are that fine
@@ -267,7 +277,8 @@ class _LevelProfile(DeltaProfile):
             # with the float after each, the multiples alone must fit in the list
             if 2 * (math.floor(hi / h) - math.ceil(lo / h) + 1) > _STEPS_MAX:
                 return None, _STEPS_MAX / 2 * h  # h only grows as the bracket narrows
-            if np.min(np.abs(d, out=scratch), where=curved, initial=math.inf) < 2.0 ** 52 * h:
+            if np.minimum.reduce(np.abs(d, out=scratch), where=curved,
+                                 initial=math.inf) < 2.0 ** 52 * h:
                 return None, (hi - lo) / 4.0
             points.append(np.arange(math.ceil(lo / h), math.floor(hi / h) + 1) * h)
         for v in (self.v_min, self.v_max):
@@ -313,7 +324,9 @@ def level_measure(profile: DeltaProfile, c: float) -> tuple[float, float]:
         np.divide(diff, p.a_coef, out=w)
         np.log(w, out=w)
         w /= p.log_b
-        np.clip(w, p.a_lo, p.a_hi, out=w)
+        # clipped into the piece: np.clip's values up to the sign of a zero,
+        # which the abs below drops
+        np.minimum(np.maximum(w, p.a_lo, out=w), p.a_hi, out=w)
         np.divide(1.0, np.abs(diff, out=diff), out=diff)
     w -= p.edge
     np.abs(w, out=w)
@@ -321,7 +334,7 @@ def level_measure(profile: DeltaProfile, c: float) -> tuple[float, float]:
     np.copyto(w, p.width, where=full)
     p.widths[p.index] = w
     level = min(1.0, max(0.0, compensated_sum(p.widths)))
-    return level, float(np.sum(diff, where=straddle)) / p.log_b
+    return level, float(np.add.reduce(diff, where=straddle)) / p.log_b
 
 
 def _ordinal(x: float) -> int:
@@ -376,8 +389,8 @@ def median_offset(profile: DeltaProfile) -> float:
     the result keeps its bits.
     """
     level = _LevelProfile(profile)
-    lo = math.nextafter(float(level.v_min.min()), -math.inf)
-    hi = float(level.v_max.max())
+    lo = math.nextafter(float(np.minimum.reduce(level.v_min)), -math.inf)
+    hi = float(np.maximum.reduce(level.v_max))
     c = level.mean
     narrow = level.piece_count >= _NARROW_MIN_PIECES
     stretch = 1.0

@@ -74,6 +74,15 @@ class TestSweep:
         assert code == 2
         assert "error" in err
 
+    def test_missing_directory_is_refused_before_any_row(self, capsys, monkeypatch, tmp_path):
+        rows = []
+        monkeypatch.setattr(harness, "compute_metrics", lambda *args: rows.append(args))
+        code, _, err = run_cli(capsys, "sweep", "--base", "10",
+                               "--n-min", "100", "--n-max", "1000",
+                               "--out", str(tmp_path / "missing_dir" / "x.csv"))
+        assert (code, rows) == (2, [])
+        assert err.startswith("error: ") and "missing_dir" in err
+
     def test_flags_left_out_take_the_config_defaults(self, capsys, monkeypatch, tmp_path):
         passed = []
         monkeypatch.setattr(harness, "run_sweep", lambda cfg: passed.append(cfg) or [])

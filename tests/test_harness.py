@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,49 @@ class TestComputeMetrics:
             monkeypatch.setattr(*name, counted(name, getattr(*name)))
         compute_metrics(10, 1000, metrics)
         assert tuple(counts[name] for name in names) == calls
+
+    # the Python functions of numpy a row may enter, by file and name, and why
+    NUMPY_PYTHON_ALLOWED = {
+        # np.errstate: level_measure's divide and log run masked-off lanes
+        # that would warn
+        **dict.fromkeys([("_ufunc_config.py", "__init__"), ("_ufunc_config.py", "__enter__"),
+                         ("_ufunc_config.py", "__exit__")], "np.errstate"),
+        # an np.empty and a copyto: the step pieces' period table and
+        # delta_profile's mask of F's bounds
+        ("numeric.py", "ones"): "np.ones",
+        # the array-function dispatchers of C functions: a stub that returns
+        # the arguments, entered once before the C call
+        **{("multiarray.py", name): "dispatcher stub" for name in
+           ("copyto", "where", "dot", "concatenate", "empty_like")},
+    }
+
+    def test_rows_call_no_python_level_numpy_wrapper(self):
+        """A small row's cost is its numpy calls, and numpy's Python-level
+        wrappers (``np.sum``, ``np.clip``, ``np.insert``, ``np.flatnonzero``,
+        ``ndarray.min``, ...) spend 2-14 us each before the C loop they end
+        in.  So a row calls ufuncs, ufunc methods and ndarray methods that
+        reach C at once; (10, 10**5) narrows its search and sums in blocks."""
+        rows = [(10, 1000), (7, 1500), (10, 10 ** 5)]
+        for base, N in rows:  # any import a first call makes is done here
+            compute_metrics(base, N)
+        numpy_dir = os.path.dirname(np.__file__) + os.sep
+        entered = set()
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename.startswith(numpy_dir):
+                entered.add((os.path.relpath(code.co_filename, numpy_dir), code.co_name))
+
+        saved = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for base, N in rows:
+                compute_metrics(base, N)
+        finally:
+            sys.setprofile(saved)
+        allowed = {name for name in entered
+                   if (os.path.basename(name[0]), name[1]) in self.NUMPY_PYTHON_ALLOWED}
+        assert sorted(entered - allowed) == []
 
 
 class TestDecadeGrid:

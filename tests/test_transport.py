@@ -432,12 +432,21 @@ class TestStaircaseFinish:
     (16, 2000, "0x1.65cd088034046p-11", "0x1.bfedab26e3f50p-13", "0x1.65715a685bd01p-11"),
     (2, 13, "0x1.1de608c25dee1p-3", "0x1.bef05f81f05f2p-5", "0x1.12a2ce48a2addp-3"),
     (10, 10 ** 6, "0x1.f23813414dfbep-19", "0x1.68a179798f42cp-21", "0x1.f2f5e4eee8001p-19"),
+    (10, 468, "0x1.81b4cacc17babp-9", "0x1.e2ea233444591p-11", "0x1.80fb4daedab80p-9"),
+    (7, 732, "0x1.660ca78d1b110p-9", "0x1.6d4d2263e119dp-11", "0x1.671258e45f5c0p-9"),
+    (3, 1837, "0x1.cec7d0ea6f445p-10", "0x1.e69f8f2b214b3p-12", "0x1.cd42d03574a01p-10"),
+    (10, 1000, "0x1.21ede6588b622p-9", "0x1.09af1771a131bp-11", "0x1.2329e3ac0d7c0p-9"),
+    (7, 1500, "0x1.3d4d52f04cf30p-10", "0x1.71b117a5f5506p-12", "0x1.3cb8f88e81c81p-10"),
+    (2, 2000, "0x1.54378e5a22276p-9", "0x1.5efd5273e65bap-11", "0x1.53f5e7fbd3501p-9"),
 ])
 def test_rows_keep_their_bits(base, N, d_line, d_circle, offset_c):
     """Rows to the last bit, as recorded before the level passes were narrowed
     and the integrals restricted to the split pieces; (2, 13) has a flat
     median stretch, whose lower end is its offset, and (10, 10**6) is the
-    benchmark's row, recorded before the search listed the level's steps."""
+    benchmark's row, recorded before the search listed the level's steps.
+    The rows of N <= 2000 after it are small rows of the benchmark's mix,
+    whose searches never narrow, recorded before their passes called ufuncs
+    in place of numpy's Python-level wrappers."""
     for cpus in one_cpu_and_all():
         with affinity(cpus):
             row = compute_metrics(base, N)
