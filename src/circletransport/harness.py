@@ -15,10 +15,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import transport
-from .logseq import (LogSequenceSpec, _cpus, _positive_int, _RowPieces, closed_form_cdf, frac_log,
+from .logseq import (LogSequenceSpec, _positive_int, _RowPieces, closed_form_cdf, frac_log,
                      reference_rotation)
 from .measures import cdf_wrapped_exponential, delta_profile
-from .transport import integral_abs
+from .transport import _cpus, integral_abs
 
 __all__ = [
     "SweepConfig",

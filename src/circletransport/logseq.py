@@ -10,15 +10,12 @@ powers of b map to exactly 0.
 from __future__ import annotations
 
 import math
-import os
-import queue
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measures import CircleEmpirical, PiecewiseCdf, _check_base, _step_cdf, build_empirical
-from .summation import _BLOCK, _SPAN, spans
+from .summation import _BLOCK, _SPAN
 
 __all__ = [
     "LogSequenceSpec",
@@ -214,58 +211,29 @@ class _StepPieces:
                 part[-i % p::p] += 1.0
                 p *= b
 
+    def jumps_before(self, stop: int) -> int:
+        """The jumps of pieces ``0..stop - 1`` summed, as an exact int.
+
+        By Legendre's formula: the integers a..z of a block have z - a + 1
+        jumps of 1 and one more at each multiple of each power b**j <= N,
+        j >= 1, of which there are floor(z / b**j) - floor((a - 1) / b**j).
+        """
+        b, total = self.base, 0
+        for lo, hi, a, _ in self._parts(0, stop):
+            z = a + hi - lo - 1
+            total += z - a + 1
+            p = b
+            while p <= self.count:
+                total += z // p - (a - 1) // p
+                p *= b
+        return total
+
 
 # A line row is refused past this many pieces: about 7 minutes at the
 # 40 ns a piece that a streamed row takes on one CPU of a 2-CPU Xeon
 # (0.20 s for the 5M pieces of (2, 10^7)), so 10^10 * 40 ns = 400 s.  The
 # rows it refuses start at N of about 1.1e10 in base 10 and 2e10 in base 2.
 _PIECE_BUDGET = 10 ** 10
-
-
-def _cpus() -> int:
-    """How many CPUs the calling thread may run on; 1 where the OS cannot say."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return 1
-
-
-def _ahead(write, cuts, slots):
-    """Yield ``write(start, stop, slot)`` for each ``(start, stop)`` of
-    ``cuts``, written one span ahead by a producer thread.
-
-    The slots form a ring: the producer takes a free slot, writes it and
-    hands it over; a slot goes back to the producer when the caller asks
-    for the next one.  An exception raised in the producer is raised here,
-    unchanged, at the span it was writing.  Closing the generator stops
-    the producer and joins it.
-    """
-    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-    for slot in slots:
-        free.put(slot)
-
-    def produce():
-        try:
-            for start, stop in cuts:
-                slot = free.get()
-                if slot is None:  # the caller has stopped
-                    return
-                ready.put(write(start, stop, slot))
-            ready.put(None)
-        except BaseException as exc:  # the caller raises it at this span
-            ready.put(exc)
-
-    producer = threading.Thread(target=produce, name="row-columns", daemon=True)
-    producer.start()
-    try:
-        while (slot := ready.get()) is not None:
-            if isinstance(slot, BaseException):
-                raise slot
-            yield slot
-            free.put(slot)
-    finally:
-        free.put(None)
-        producer.join()
 
 
 class _RowPieces:
@@ -309,25 +277,26 @@ class _RowPieces:
         self._ins = at if new else F.size + 1  # the joint index of v; past every index if not new
         self._landing = (0, at, self.piece_count)  # the joint pieces where G's pieces start and end
 
-    def spans(self):
-        """Yield ``(bounds, powers, coef, offset)`` for each span that
-        ``summation.spans`` cuts from the joint pieces, as ``DeltaProfile``
-        does.  Each yielded span is a view of scratch arrays that later
-        spans reuse: it is valid only until the next span.  The bounds are
-        checked as ``PiecewiseCdf`` checks them, across span edges too.
+    def spans(self, cuts):
+        """Yield ``(bounds, powers, coef, offset)`` for each ``(start, stop)``
+        of ``cuts``, spans that ``summation.spans`` cuts from the joint
+        pieces, in any order: a ``DeltaProfile``'s slices, written.  Each
+        yielded span is a view of scratch arrays, made per call, that later
+        spans reuse: it is valid only until the next span.  Its bounds, the
+        next span's first bound included, are checked as ``PiecewiseCdf``
+        checks them.
 
-        A span's bounds, their check, ``powers`` and its jumps depend on
-        the span alone; only the running jump count carries from span to
-        span.  So when the row has two spans or more and the calling thread
-        may run on two CPUs or more, a producer thread writes those columns
-        one span ahead (``_ahead``, two slots) while this thread adds the
-        carry, writes the levels and coefs and the caller integrates.
-        Otherwise the same writer runs inline, span by span.  The bits are
-        the same either way.
+        A span's bounds, their powers and its jumps depend on the span
+        alone.  Its levels add the running jump count before it, carried
+        from the span before when that one ended at its start, and taken
+        from the closed form (``_StepPieces.jumps_before``, the inserted piece
+        adding 0) otherwise.  Both are the same exact integer below 2**53,
+        so any span has the same bits however it is reached.
         """
         F, G, v, ins, landing = self._F, self._G, self._v, self._ins, self._landing
         coef_g = 0.0 - G.coef
         width = min(self.piece_count, _SPAN + _BLOCK)
+        columns, coefs = np.empty((3, width + 1)), np.empty(width)
 
         def joint(write, start, stop, out, inserted):
             """``out`` = entries start..stop - 1 of an array over the joint pieces
@@ -340,40 +309,27 @@ class _RowPieces:
                 shift = int(ins < start)
                 write(start - shift, stop - shift, out)
 
-        def columns(start, stop, slot):
-            """The span's bounds, checked, their powers and its jumps, into ``slot``."""
-            bounds, powers, jumps = slot[:, :stop - start + 1]
+        end = carry = 0  # where the span before ended, and the jumps before it
+        for start, stop in cuts:
+            size = stop - start
+            bounds, powers = columns[:2, :size + 1]
+            offset, coef = columns[2, :size], coefs[:size]  # the levels, from the jumps in place
             joint(F.bounds, start, stop + 1, bounds, v)
-            if not np.all(bounds[1:] > bounds[:-1]):
+            if not np.logical_and.reduce(bounds[1:] > bounds[:-1]):
                 raise ValueError("piece bounds must be strictly increasing")
             np.power(float(F.base), bounds, out=powers)
-            joint(F.jumps, start, stop, jumps[:-1], 0.0)
-            return slot
-
-        n = self.piece_count
-        # two spans or more (see ``summation.spans``), and a second CPU to write them on
-        ahead = n > _SPAN + _BLOCK and _cpus() > 1
-        slots = np.empty((1 + ahead, 3, width + 1))
-        written = (_ahead(columns, spans(n), slots) if ahead else
-                   (columns(start, stop, slots[0]) for start, stop in spans(n)))
-        coefs = np.empty(width)
-        carry = 0.0  # the jumps before the span
-        try:
-            for (start, stop), slot in zip(spans(n), written):
-                size = stop - start
-                bounds, powers = slot[:2, :size + 1]
-                offset, coef = slot[2, :size], coefs[:size]  # the levels, from the jumps in place
-                offset[0] += carry
-                np.add.accumulate(offset, out=offset)
-                carry = offset[-1]
-                offset /= F.count
-                for g in range(G.piece_count):
-                    a, z = (min(max(landing[i] - start, 0), size) for i in (g, g + 1))
-                    coef[a:z] = coef_g[g]
-                    np.subtract(offset[a:z], G.offset[g], out=offset[a:z])
-                yield bounds, powers, coef, offset
-        finally:
-            written.close()
+            joint(F.jumps, start, stop, offset, 0.0)
+            if start != end:
+                carry = F.jumps_before(start - (start > ins))
+            offset[0] += carry
+            np.add.accumulate(offset, out=offset)
+            end, carry = stop, offset[-1]
+            offset /= F.count
+            for g in range(G.piece_count):
+                a, z = (min(max(landing[i] - start, 0), size) for i in (g, g + 1))
+                coef[a:z] = coef_g[g]
+                np.subtract(offset[a:z], G.offset[g], out=offset[a:z])
+            yield bounds, powers, coef, offset
 
 
 def closed_form_cdf(base: int, count: int) -> PiecewiseCdf:

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .summation import spans
-
 __all__ = [
     "ATOM_MERGE_TOL",
     "CircleEmpirical",
@@ -210,13 +208,13 @@ class DeltaProfile(_PiecewiseBase):
     sign (0 encodes a constant); values stay within [-1, 1].
     """
 
-    def spans(self):
-        """``(bounds, powers, coef, offset)`` slices for each span that
-        ``summation.spans`` cuts; the cached ``b**bounds`` are made at once."""
+    def spans(self, cuts):
+        """``(bounds, powers, coef, offset)`` slices for each ``(start,
+        stop)`` of ``cuts``; the cached ``b**bounds`` are made at once."""
         powers = self._bound_powers()
         bounds, coef, offset = self.bounds, self.coef, self.offset
         return ((bounds[start:stop + 1], powers[start:stop + 1], coef[start:stop],
-                 offset[start:stop]) for start, stop in spans(coef.size))
+                 offset[start:stop]) for start, stop in cuts)
 
 
 def _as_probe_array(t):

@@ -34,12 +34,9 @@ _BLOCK = 4096
 # with 64 (220-340 ms in one pass over whole arrays), and 26-36 ms at base
 # 10, N = 10^6 and the median offset with 2 to 16 blocks, 45-46 with 64
 # (60-74 ms in one pass).  A streamed line row at base 2, N = 10^7 took
-# 133-179 ms on one CPU with any of 2 to 64 blocks; on two, where a
-# producer thread writes each span's columns a span ahead
-# (``logseq._RowPieces``), it took 204-248 ms with 2 blocks, 139-157 with
-# 4, 100-125 with 8, 118-133 with 16 and 105-108 with 64: short spans hand
-# the GIL back and forth on every numpy call.  Spans of 16 blocks would
-# double the row's scratch to about 6.5 MB.  A caller that makes several
+# 133-179 ms on one CPU with any of 2 to 64 blocks.  On two CPUs
+# ``transport.integral_abs`` hands whole runs of spans to a forked worker,
+# so the span length sets no hand-off cost there.  A caller that makes several
 # span-length temporaries at once keeps them in buffers made once per
 # call: made anew on every span, glibc's malloc served them from the top
 # of the heap and trimmed it again after each span, which took 25k minor

@@ -51,15 +51,18 @@ a fifth of a small row.
 
 from __future__ import annotations
 
-import contextlib
 import math
+import os
+import pickle
+import signal
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import DeltaProfile, PiecewiseCdf, delta_profile
-from .summation import _BLOCK, _SPAN, block_sums, compensated_sum
+from .summation import _BLOCK, _SPAN, block_sums, compensated_sum, spans
 
 __all__ = [
     "TransportResult",
@@ -83,29 +86,125 @@ class TransportResult:
     offset: float
 
 
+def _cpus() -> int:
+    """How many CPUs the calling thread may run on; 1 where the OS cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return 1
+
+
+# An integral over fewer pieces runs in the calling process alone.  A
+# forked worker costs about 7 ms whatever its share: the fork, the worker's
+# start and first writes to copied pages, its exit and the reaping.  On a
+# 2-CPU Xeon (medians of 31 alternating calls at c = 0), forking for half
+# of the spans broke even near 300k pieces of a line row's cover and near
+# 1.05M of a profile's, whose pieces are cheaper and whose halves share the
+# memory bus (16.2 ms inline, 16.9 forked).  This is the larger, so no
+# cover is slower.
+_FORK_MIN_PIECES = 1 << 20
+
+
 def integral_abs(profile, c: float) -> float:
     """Exact value of ``integral_0^1 |delta(t) - c| dt``.
 
     ``profile`` is a cover of [0, 1) by pieces ``a*b**t + d`` with a
-    ``base``, a ``piece_count`` and ``spans()``, which yields ``(bounds,
-    powers = b**bounds, coef, offset)`` for each span that
-    ``summation.spans`` cuts: a ``DeltaProfile``, or a line row's pieces
-    written span by span (``logseq._RowPieces``).
+    ``base``, a ``piece_count`` and ``spans(cuts)``, which yields
+    ``(bounds, powers = b**bounds, coef, offset)`` for each ``(start,
+    stop)`` of ``cuts``, spans that ``summation.spans`` cuts: a
+    ``DeltaProfile``, or a line row's pieces written span by span
+    (``logseq._RowPieces``).  Any run of spans can be read on its own.
 
     Each piece is split at the closed-form root of ``a*b**t + d = c`` when
     the sign changes inside it; the two monotone parts are integrated with
     the antiderivative ``a*b**t/ln(b) + (d - c)*t``.  Roots and second
     parts are computed only for the pieces whose end values differ in
-    sign.  The spans' ``block_sums`` are the whole arrays' own, so one
-    ``fsum`` of them has the bits of ``compensated_sum`` over the first
-    parts and over the second parts of all pieces.  A NaN level raises
-    ``ValueError``; at c = +-inf the integral is inf.
+    sign.  The spans' ``block_sums`` are the whole arrays' own, and
+    ``math.fsum`` is correctly rounded whatever the order of what it sums,
+    so one ``fsum`` of them has the bits of ``compensated_sum`` over the
+    first parts and over the second parts of all pieces.  A NaN level
+    raises ``ValueError``; at c = +-inf the integral is inf.
+
+    The spans are cut into one contiguous share per CPU the calling thread
+    may run on, and a worker process is forked for each share after the
+    first, when the cover has at least ``_FORK_MIN_PIECES`` pieces, the
+    platform has ``os.fork`` and the caller is the process's only Python
+    thread (a fork copies only the thread that calls it).  A worker
+    integrates its share, pipes back its block sums or the exception it
+    raised, and leaves by ``os._exit``.  The caller integrates the first
+    share, then reaps every worker and raises here what a worker raised;
+    if the caller raises, it kills the workers it has not reaped.  No
+    worker outlives the call.  Otherwise the caller integrates every span
+    itself.  The bits are the same either way.
     """
     if math.isnan(c):
         raise ValueError("level c must not be NaN")
-    pieces = profile.spans()  # a profile computes its powers here, before the scratch
+    cuts = list(spans(profile.piece_count))
+    forks = (profile.piece_count >= _FORK_MIN_PIECES and hasattr(os, "fork")
+             and threading.active_count() == 1)
+    k = min(_cpus(), len(cuts)) if forks else 1
+    shares = [cuts[len(cuts) * i // k:len(cuts) * (i + 1) // k] for i in range(k)]
+    pieces = profile.spans(shares[0])  # a profile computes its powers here, before any fork
+    workers = []  # (pid, pipe) of each worker not yet reaped
+    try:
+        for share in shares[1:]:
+            workers.append(_fork(profile, c, share))
+        first, second = _integrate(profile, c, pieces)
+        while workers:
+            pid, pipe = workers[-1]
+            reply = pipe.read()
+            workers.pop()
+            status = _reap(pid, pipe)
+            sums = (pickle.loads(reply) if reply else RuntimeError(
+                f"an integral_abs worker ended with no result (wait status {status})"))
+            if isinstance(sums, BaseException):
+                raise sums
+            first += sums[0]
+            second += sums[1]
+    finally:
+        for pid, pipe in workers:
+            os.kill(pid, signal.SIGKILL)
+            _reap(pid, pipe)
+    return math.fsum(first) + math.fsum(second)
+
+
+def _fork(profile, c: float, share) -> tuple[int, object]:
+    """Fork a worker that integrates the spans of ``share`` and writes
+    ``(first, second)``, or the exception it raised, pickled, to the pipe
+    whose reading end is returned with its pid."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:  # the worker: it leaves by os._exit, never by returning
+        try:
+            os.close(read)
+            try:
+                reply = _integrate(profile, c, profile.spans(share))
+            except BaseException as exc:  # the caller raises it
+                reply = exc
+            with open(write, "wb") as pipe:
+                pickle.dump(reply, pipe)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _reap(pid: int, pipe) -> int:
+    """Close a worker's pipe and wait for it; its wait status."""
+    pipe.close()
+    return os.waitpid(pid, 0)[1]
+
+
+def _integrate(profile, c: float, pieces) -> tuple[list[float], list[float]]:
+    """The block sums of the first and of the second parts of the spans
+    that ``pieces`` yields (see ``integral_abs``)."""
     b, log_b = float(profile.base), math.log(profile.base)
-    # a span's temporaries are rows of one array made once per integral; a
+    # a span's temporaries are rows of one array made once per share; a
     # new set on every span churned the top of the heap, which malloc
     # trimmed and faulted in again (see ``summation._SPAN``).  The two rows
     # of the split pieces are made at the first split: a line row's c = 0
@@ -125,38 +224,37 @@ def integral_abs(profile, c: float) -> float:
         out += np.multiply(shift, width, out=e)
         return np.abs(out, out=out)
 
-    with contextlib.closing(pieces):  # a stream that ends early stops its writer here
-        for bounds, powers, a, offset in pieces:
-            shift, values, width, e = rows[:, :a.size]
-            lo, hi = bounds[:-1], bounds[1:]
-            pow_lo, pow_hi = powers[:-1], powers[1:]
-            np.subtract(offset, c, out=shift)
-            t_mid = hi
-            # the end values' product is negative only on exponential pieces (a != 0)
-            np.add(np.multiply(a, pow_lo, out=values), shift, out=values)
-            values *= np.add(np.multiply(a, pow_hi, out=e), shift, out=e)
-            split = (values < 0.0).nonzero()[0]
-            if split.size:
-                if split_rows is None:
-                    split_rows = np.empty((2, span_max))
-                part, mid = split_rows[:, :a.size]
-                # the end values differ in sign only where shift and a do, so
-                # -shift / a > 0 (short of underflow) and the log does not warn
-                root = np.log(-shift[split] / a[split]) / log_b
-                inside = (root > lo[split]) & (root < hi[split])
-                split, root = split[inside], root[inside]
-                np.copyto(mid, hi)
-                mid[split] = root
-                t_mid = mid
-                # summed over all pieces of the span, zeros included, so its blocks
-                # are the whole array's; a span without splits would add only zeros
-                k = split.size
-                part.fill(0.0)
-                part[split] = chunk(a[split], shift[split], root, np.power(b, root),
-                                    hi[split], values[:k], width[:k], e[:k])
-                second += block_sums(part)
-            first += block_sums(chunk(a, shift, lo, pow_lo, t_mid, values, width, e))
-    return math.fsum(first) + math.fsum(second)
+    for bounds, powers, a, offset in pieces:
+        shift, values, width, e = rows[:, :a.size]
+        lo, hi = bounds[:-1], bounds[1:]
+        pow_lo, pow_hi = powers[:-1], powers[1:]
+        np.subtract(offset, c, out=shift)
+        t_mid = hi
+        # the end values' product is negative only on exponential pieces (a != 0)
+        np.add(np.multiply(a, pow_lo, out=values), shift, out=values)
+        values *= np.add(np.multiply(a, pow_hi, out=e), shift, out=e)
+        split = (values < 0.0).nonzero()[0]
+        if split.size:
+            if split_rows is None:
+                split_rows = np.empty((2, span_max))
+            part, mid = split_rows[:, :a.size]
+            # the end values differ in sign only where shift and a do, so
+            # -shift / a > 0 (short of underflow) and the log does not warn
+            root = np.log(-shift[split] / a[split]) / log_b
+            inside = (root > lo[split]) & (root < hi[split])
+            split, root = split[inside], root[inside]
+            np.copyto(mid, hi)
+            mid[split] = root
+            t_mid = mid
+            # summed over all pieces of the span, zeros included, so its blocks
+            # are the whole array's; a span without splits would add only zeros
+            k = split.size
+            part.fill(0.0)
+            part[split] = chunk(a[split], shift[split], root, np.power(b, root),
+                                hi[split], values[:k], width[:k], e[:k])
+            second += block_sums(part)
+        first += block_sums(chunk(a, shift, lo, pow_lo, t_mid, values, width, e))
+    return first, second
 
 
 # Below a few thousand pieces a level pass costs its numpy calls, not its

@@ -40,10 +40,11 @@ def random_cdf(rng, base=10):
 def one_cpu_and_all():
     """The CPU sets to run a row on: one of this thread's CPUs, then all of them.
 
-    A line row of two spans or more writes its bounds on a second thread
-    when it may use two CPUs, and inline on one.  Where the platform has no
-    affinity call, a row sees one CPU (``logseq._cpus``), so the only set
-    is a one-CPU placeholder that ``affinity`` leaves as it is.
+    An integral over ``transport._FORK_MIN_PIECES`` pieces or more forks a
+    worker for each CPU past the first, and runs inline on one.  Where the
+    platform has no affinity call, a row sees one CPU (``transport._cpus``),
+    so the only set is a one-CPU placeholder that ``affinity`` leaves as it
+    is.
     """
     if not hasattr(os, "sched_getaffinity"):
         return [{0}]

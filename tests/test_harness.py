@@ -263,7 +263,7 @@ class TestSweep:
         assert cfg == SweepConfig(base=10, n_min=100, n_max=10 ** 6, points_per_decade=4, threads=2)
 
     def test_default_threads_are_the_cpus_the_thread_may_run_on(self):
-        # as a line row counts them (logseq._cpus), not the machine's
+        # as integral_abs counts them (transport._cpus), not the machine's
         with affinity(one_cpu_and_all()[0]):
             assert SweepConfig(base=10).threads == 1
 

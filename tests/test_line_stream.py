@@ -5,6 +5,7 @@ compared by ``float.hex``: the stream must give every joint piece the float
 operations that the profile gives it.
 """
 
+import os
 import sys
 import threading
 import time
@@ -24,8 +25,8 @@ from circletransport.logseq import (
     reference_rotation,
 )
 from circletransport.measures import cdf_wrapped_exponential, delta_profile
-from circletransport.summation import _BLOCK, _SPAN
-from circletransport.transport import integral_abs, median_offset
+from circletransport.summation import _BLOCK, _SPAN, spans
+from circletransport.transport import _FORK_MIN_PIECES, integral_abs, median_offset
 from conftest import affinity, one_cpu_and_all
 
 
@@ -126,10 +127,13 @@ def test_an_inner_bound_at_a_span_edge_keeps_the_bits(k, where):
 def cover_matches_profile(base, N, G, c):
     """The row cover's spans, copied and joined, equal the profile's arrays
     and powers bit for bit, signed zeros included, and ``integral_abs`` over
-    the cover at c has the profile's bits."""
+    the cover at c has the profile's bits.  Each span read on its own, in a
+    shuffled order, so that its running jump count comes from the closed
+    form, equals the one read in order with the count carried."""
     cover = _RowPieces(LogSequenceSpec(base, N), G)
     profile = delta_profile(closed_form_cdf(base, N), G)
-    parts = [[x.copy() for x in span] for span in cover.spans()]
+    cuts = list(spans(cover.piece_count))
+    parts = [[x.copy() for x in span] for span in cover.spans(cuts)]
     assert cover.base == profile.base and cover.piece_count == profile.piece_count
     joined = {
         "bounds": np.concatenate([p[0][:-1] for p in parts] + [parts[-1][0][-1:]]),
@@ -144,10 +148,22 @@ def cover_matches_profile(base, N, G, c):
     # the next span's first bound is the last bound of the span before it
     for before, after in zip(parts, parts[1:]):
         assert before[0][-1] == after[0][0]
+    order = np.random.default_rng(len(cuts)).permutation(len(cuts)).tolist()
+    for i, span in zip(order, cover.spans([cuts[i] for i in order])):
+        for got, streamed in zip(span, parts[i]):
+            assert np.array_equal(got.view(np.int64), streamed.view(np.int64)), cuts[i]
     assert integral_abs(cover, c).hex() == integral_abs(profile, c).hex()
 
 
-@pytest.mark.parametrize("base,N", [row[:2] for row in ROWS])
+# rows of several spans whose wrapped digit block starts inside a later
+# span, in a base above the jump table's 4,096 entries, and at N = b**k,
+# where G has one piece and the n-digit block holds N alone
+COVER_ROWS = [row[:2] for row in ROWS] + [
+    (10, 150000), (2, 2 ** 17), (3, 3 ** 11), (5000, 60000), (4099, 30 * 4099),
+]
+
+
+@pytest.mark.parametrize("base,N", COVER_ROWS)
 def test_row_cover_is_the_profile_piece_for_piece(base, N):
     row = compute_metrics(base, N)
     G = cdf_wrapped_exponential(base, reference_rotation(base, N))
@@ -229,9 +245,8 @@ def test_unresolved_rows_are_refused_up_front(entry):
 @pytest.mark.parametrize("k", [4 * _BLOCK - 1, 4 * _BLOCK, 4 * _BLOCK + 1, _SPAN - 1, _SPAN, _SPAN + 1])
 def test_a_tied_bound_fails_its_span(k, monkeypatch):
     """A bound that ties with the one before it, inside a span and at either
-    side of a span edge, fails the stream as it fails ``PiecewiseCdf``,
-    whether the row writes its bounds inline (one CPU) or on a producer
-    thread (two)."""
+    side of a span edge, fails the stream as it fails ``PiecewiseCdf``, on
+    one CPU and on all."""
     original = _StepPieces.bounds
 
     def tied(self, start, stop, out):
@@ -245,57 +260,115 @@ def test_a_tied_bound_fails_its_span(k, monkeypatch):
                 entry()
 
 
-def row_cover(N):
-    """The cover of the line row (2, N): 16 spans at N = 10**6."""
-    G = cdf_wrapped_exponential(2, reference_rotation(2, N))
-    return _RowPieces(LogSequenceSpec(2, N), G)
+def row_cover(N, base=2):
+    """The cover of the line row (base, N): 16 spans at (2, 10**6)."""
+    G = cdf_wrapped_exponential(base, reference_rotation(base, N))
+    return _RowPieces(LogSequenceSpec(base, N), G)
 
 
-TWO_CPUS = pytest.mark.skipif(len(one_cpu_and_all()[-1]) < 2, reason="the producer needs two CPUs")
+FORKS = pytest.mark.skipif(len(one_cpu_and_all()[-1]) < 2 or not hasattr(os, "fork"),
+                           reason="integral_abs forks only where it has os.fork and two CPUs")
 
 
-@TWO_CPUS
-def test_a_producer_starts_on_two_cpus_for_two_spans_or_more():
-    before = threading.active_count()
-    for cpus, producers in zip(one_cpu_and_all(), (0, 1)):
-        with affinity(cpus):
-            stream = row_cover(10 ** 6).spans()
-            next(stream)  # the producer waits for a free slot
-            assert threading.active_count() == before + producers
-            stream.close()
-        assert threading.active_count() == before
-    # a row of one span writes inline
-    stream = row_cover(40000).spans()
-    next(stream)
-    assert threading.active_count() == before
-    stream.close()
+def no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
 
 
-@TWO_CPUS
-def test_a_stream_closed_early_leaves_no_thread(monkeypatch):
-    """``close()`` on the stream, or an exception inside ``integral_abs``,
-    stops the producer and joins it."""
-    before = threading.active_count()
-    stream = row_cover(10 ** 6).spans()
-    next(stream)
-    assert threading.active_count() == before + 1
-    stream.close()
-    assert threading.active_count() == before
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that ``os.fork`` returns to this process meanwhile."""
+    pids, fork = [], os.fork
 
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def test_a_row_below_the_fork_threshold_does_not_fork(forks):
+    N = 2 * _FORK_MIN_PIECES - 4
+    assert row_cover(N).piece_count < _FORK_MIN_PIECES
+    compute_metrics(2, N, ("line",))
+    assert forks == []
+
+
+@FORKS
+def test_forked_integrals_keep_their_bits_and_leave_no_child(forks):
+    """Over a line row's cover of 1,063,400 pieces (its d_line is pinned in
+    ``test_line_rows_keep_their_bits``) and over its profile, at c = 0 and
+    at the row's offset, where pieces split in every share."""
+    G = cdf_wrapped_exponential(3, reference_rotation(3, 1595100))
+    profile = delta_profile(closed_form_cdf(3, 1595100), G)
+    calls = [(cover, c) for c in (0.0, median_offset(profile))
+             for cover in (row_cover(1595100, base=3), profile)]
+    with affinity(one_cpu_and_all()[0]):
+        want = [integral_abs(cover, c).hex() for cover, c in calls]
+    assert want[0] == "0x1.2d5fe2fd35d5ap-18" and forks == []
+    workers = min(len(one_cpu_and_all()[-1]), len(list(spans(profile.piece_count)))) - 1
+    for (cover, c), bits in zip(calls, want):
+        assert integral_abs(cover, c).hex() == bits
+        assert len(forks) == workers and no_child_is_left()
+        forks.clear()
+
+
+@FORKS
+@pytest.mark.parametrize("k", [1500000, 1950000])
+def test_a_tied_bound_in_a_workers_share_is_raised_by_the_caller(k, forks, monkeypatch):
+    """(2, 4 * 10**6) has 2,000,000 pieces: on two CPUs the worker
+    integrates the spans from piece 983,040 on, in both digit blocks (the
+    wrapped one from piece 1,902,849)."""
+    original = _StepPieces.bounds
+
+    def tied(self, start, stop, out):
+        original(self, start, stop, out)
+        if start <= k < stop:
+            original(self, k - 1, k, out[k - start:])
+    monkeypatch.setattr(_StepPieces, "bounds", tied)
+    with pytest.raises(ValueError, match="^piece bounds must be strictly increasing$"):
+        compute_metrics(2, 4 * 10 ** 6, ("line",))
+    assert forks and no_child_is_left()
+
+
+@FORKS
+def test_a_failure_in_the_callers_share_leaves_no_child(forks, monkeypatch):
     def failing(values):
         raise RuntimeError("inside integral_abs")
     monkeypatch.setattr(transport, "block_sums", failing)
-    # the traceback, held here, keeps integral_abs's frame and its stream alive
-    with pytest.raises(RuntimeError, match="inside integral_abs") as caught:
-        integral_abs(row_cover(10 ** 6), 0.0)
-    assert threading.active_count() == before, caught
+    with pytest.raises(RuntimeError, match="inside integral_abs"):
+        integral_abs(row_cover(1595100, base=3), 0.0)
+    assert forks and no_child_is_left()
 
 
-@TWO_CPUS
+def test_no_fork_beside_a_second_thread_or_on_one_cpu(monkeypatch):
+    """A fork copies only the thread that calls it, so a row that is not
+    its process's only thread integrates inline, as a row pinned to one
+    CPU does, with the same bits."""
+    def fork():
+        raise AssertionError("os.fork called")
+    monkeypatch.setattr(os, "fork", fork)
+    with affinity(one_cpu_and_all()[0]):
+        assert compute_metrics(3, 1595100, ("line",)).d_line.hex() == "0x1.2d5fe2fd35d5ap-18"
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        with affinity(one_cpu_and_all()[-1]):
+            assert compute_metrics(3, 1595100, ("line",)).d_line.hex() == "0x1.2d5fe2fd35d5ap-18"
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
 def test_concurrent_line_rows_keep_their_bits():
-    """Six line rows at once on four threads, each with its producer, with
-    the interpreter switching threads every microsecond: a slot handed back
-    to a producer while its span was still in use would change the bits."""
+    """Six line rows at once on four threads, with the interpreter switching
+    threads every microsecond: no row forks beside other threads, and each
+    reads its spans into scratch of its own."""
     rows = [(2, 10 ** 6), (3, 400000), (10, 300000)] * 2
     with affinity(one_cpu_and_all()[0]):
         want = [compute_metrics(*row, ("line",)).d_line.hex() for row in rows]
@@ -310,13 +383,28 @@ def test_concurrent_line_rows_keep_their_bits():
         sys.setswitchinterval(interval)
     assert got == want
     assert threading.active_count() == before
+    assert no_child_is_left()
+
+
+@pytest.mark.parametrize("base,N", [(10, 150000), (2, 2 ** 17), (3, 3 ** 11), (5000, 60000),
+                                    (4099, 30 * 4099), (7, 117645), (2, 2 ** 17 - 1)])
+def test_the_closed_form_jump_count_is_the_running_sum(base, N):
+    """``_StepPieces.jumps_before(k)``, by Legendre's formula, is the running
+    sum of the jumps before piece k, on both digit blocks and their edge."""
+    F = _StepPieces(LogSequenceSpec(base, N))
+    jumps = np.empty(F.size)
+    F.jumps(0, F.size, jumps)
+    running = np.concatenate(([0.0], np.add.accumulate(jumps)))
+    split = N + 1 - base ** (LogSequenceSpec(base, N).digits - 1)
+    ks = sorted({*range(0, F.size + 1, 97), split - 1, split, split + 1, F.size} & {*range(F.size + 1)})
+    assert [F.jumps_before(k) for k in ks] == running[ks].tolist()
 
 
 def test_a_row_past_the_piece_budget_is_refused_at_once(monkeypatch):
     """(10, 10**12) would stream 9e11 pieces, about 10 hours; it is refused
-    before any stream or thread starts."""
+    before any stream, thread or worker starts."""
     streams = []
-    monkeypatch.setattr(_RowPieces, "spans", lambda self: streams.append(self))
+    monkeypatch.setattr(_RowPieces, "spans", lambda self, cuts: streams.append(self))
     before = threading.active_count()
     start = time.perf_counter()
     with pytest.raises(ValueError, match="900000000000 pieces, past the budget of 10000000000"):

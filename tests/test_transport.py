@@ -462,8 +462,8 @@ def test_line_rows_keep_their_bits(base, N, d_line):
     """Line-only rows of half a million to five million pieces to the last
     bit, as recorded before ``closed_form_cdf`` took running digit sums and
     ``integral_abs`` took spans; (2, 10**7) is the benchmark's line row.
-    On two CPUs a producer thread writes the bounds and powers; on one they
-    are written inline."""
+    On two CPUs the rows past a million pieces fork a worker for half of
+    the spans; on one they are integrated inline."""
     for cpus in one_cpu_and_all():
         with affinity(cpus):
             assert compute_metrics(base, N, ("line",)).d_line.hex() == d_line

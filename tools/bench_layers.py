@@ -20,8 +20,9 @@ several processes, the median of their medians, and ``peak_rss_mb`` the
 median of their peaks.
 
 ``--cpus one`` pins each process to one of its CPUs before the first row;
-``--cpus all`` (the default) leaves it on all of them.  Only a line row of
-two spans or more uses a second CPU (see ``logseq._RowPieces.spans``).
+``--cpus all`` (the default) leaves it on all of them.  Only an integral
+over a million pieces or more uses a second CPU, through a forked worker
+(see ``transport.integral_abs``).
 
 The layers are the calls a row makes.  A ``both`` row builds the step CDF
 (``closed_form_cdf``), the reference (``cdf_wrapped_exponential``) and the
