@@ -27,10 +27,17 @@ range meets its bracket can change how they count, so the search narrows
 its private profile to them (about half the pieces of a metrics row).
 Every other piece lies wholly below the bracket or wholly above it, and its
 width below the level (full or none) is written once into a full-length
-buffer.  Each later pass evaluates the narrowed pieces, scatters them into
-that buffer and sums all of it in the same order, so ``L(c)`` keeps its
-bits.  The slope is summed over the narrowed pieces alone and may change in
-its last bits.
+buffer.  The narrowed pieces come in two runs.  First the *core*, whose
+value range straddles every level of the bracket (``v_min < lo`` and
+``v_max > hi``), rising pieces before falling ones: a pass measures them
+from ``lo`` and from ``hi`` with no masks, and keeps no value ranges or
+edges for them.  Then the *border*, the rest, which a pass masks as it
+masks every piece before narrowing; it is empty on each of the 20
+benchmark reference rows that narrow.  Each later pass scatters the
+narrowed widths into the buffer and sums all of it in the same order, so
+``L(c)`` keeps its bits.  The slope is summed over the core and then over
+the border, and may change in its last bits; the result does not depend on
+them, as the next paragraph says.
 
 The search assumes that the computed ``L`` is non-decreasing in c.  Then
 the least float where it reaches 1/2 is one float, found whichever probes
@@ -274,17 +281,33 @@ _STEPS_MAX = 64
 class _LevelProfile(DeltaProfile):
     """A profile with what every level pass reuses, built once per search.
 
-    It adds the pieces' value ranges, the mean of ``delta`` and a
-    full-length buffer of the pieces' widths below the level, and it keeps
-    the *active* pieces: those a level pass evaluates, with their value
-    ranges, widths, measure edges and two scratch buffers.  At first every
-    piece is active.  ``narrow(lo, hi)`` keeps only the pieces whose value
-    range meets ``[lo, hi]``; for a level in that bracket every other piece
-    lies wholly below it (full width) or wholly above it (nothing), so its
-    entry in the buffer is written once.  ``steps(lo, hi)`` lists where the
-    level can change inside a bracket.  ``level_measure`` takes it like any
-    other profile.  Each ``median_offset`` search builds its own, so no two
+    It adds the pieces' value ranges ``v_min`` and ``v_max``, the mean of
+    ``delta`` and a full-length buffer of the pieces' widths below the
+    level, and it keeps the *active* pieces: those a level pass evaluates,
+    with two scratch buffers.  At first every piece is active and on the
+    *border*, where a pass masks from the value ranges which pieces count
+    in full, in part or not at all, and measures a partial piece from its
+    *edge* (``lo`` if it rises, ``hi`` if it falls).  ``narrow(lo, hi)``
+    keeps only the pieces whose value range meets ``[lo, hi]``: first the
+    *core*, whose value range straddles all of it, rising pieces before
+    falling ones, then the border, the only pieces whose value ranges and
+    edges it keeps.  For a level in that bracket every other piece lies
+    wholly below it (full width) or wholly above it (nothing), so its entry
+    in the buffer is written once.  ``steps(lo, hi)`` lists where the level
+    can change inside a bracket.  ``level_measure`` takes it like any other
+    profile.  Each ``median_offset`` search builds its own, so no two
     searches or threads share the buffers.
+
+    The search holds at most five full-length arrays of its own:
+    ``v_min``, ``v_max``, the edges and the pass's two buffers.  The piece
+    values are built in place from the profile's ``b**bounds`` by the
+    operations of ``_piece_values``: ``v_min`` is written over the start
+    values, and the end values' memory takes the widths of the mean and
+    then serves as the width buffer, which a pass with every piece active
+    writes in place.  A full piece gets its width ``hi - lo`` from a masked
+    subtraction, so no array of widths is kept.  ``narrow`` frees the
+    full-length arrays before it makes the narrowed ones, so the allocator
+    can hand their memory on.
     """
 
     def __init__(self, profile: DeltaProfile):
@@ -297,49 +320,65 @@ class _LevelProfile(DeltaProfile):
         self.index = slice(None)
         self.a_offset, self.a_coef = self.offset, self.coef
         self.a_lo, self.a_hi = self.bounds[:-1], self.bounds[1:]
-        v_lo, v_hi = profile._piece_values()
-        self.v_min = np.minimum(v_lo, v_hi)
-        self.v_max = np.maximum(v_lo, v_hi)
-        self.width = self.a_hi - self.a_lo
-        # measure below c: root - lo on rising pieces, hi - root on falling ones
-        self.edge = np.where(self.a_coef > 0.0, self.a_lo, self.a_hi)
+        powers = profile._bound_powers()
+        v_lo = np.multiply(self.coef, powers[:-1])
+        v_lo += self.offset
+        v_hi = np.multiply(self.coef, powers[1:])
+        v_hi += self.offset
         # the mean of delta, the search's first probe: a*b**t + d integrates
-        # over a piece to (v_hi - v_lo) / ln b + d * width; the pass's
-        # scratch buffer holds the rises until then
+        # over a piece to (v_hi - v_lo) / ln b + d * (hi - lo); the rises
+        # are the pass's first scratch buffer
         self.diff = np.subtract(v_hi, v_lo)
-        self.mean = (float(np.add.reduce(self.diff)) / self.log_b
-                     + float(np.dot(self.offset, self.width)))
-        del v_lo, v_hi  # freed before the last buffer is made
-        # with every piece active the pass writes the buffer in place
-        self.widths = self.w = np.empty_like(self.width)
+        rises = float(np.add.reduce(self.diff))
+        self.v_max = np.maximum(v_lo, v_hi)
+        self.v_min = np.minimum(v_lo, v_hi, out=v_lo)
+        width = np.subtract(self.a_hi, self.a_lo, out=v_hi)
+        self.mean = rises / self.log_b + float(np.dot(self.offset, width))
+        self.edge = np.where(self.a_coef > 0.0, self.a_lo, self.a_hi)
+        # with every piece active the pass writes the width buffer in place
+        self.widths = self.w = width
+        self.core = None
+        self.border = (self.w, self.edge, self.a_lo, self.a_hi, self.diff)
 
     def narrow(self, lo: float, hi: float) -> None:
-        """Evaluate only the pieces whose value range meets ``[lo, hi]``.
+        """Evaluate only the pieces whose value range meets ``[lo, hi]``,
+        those that straddle all of it first.
 
         Afterwards ``level_measure`` accepts levels in ``[lo, hi]`` only.
         A search narrows once, from every piece active, and never widens
-        the bracket again.  Each full-length array is freed as soon as its
-        narrowed copy is made, so the allocator hands its memory to the
-        next copy.  Freeing them all first let the heap shrink and fault
-        the memory back in: at base 10, N = 10^6 that took 7,055 page
-        faults and 36-42 ms a narrowing, against 1,741 and 16-22 ms now.
+        the bracket again.
         """
         v_min, v_max = self.v_min, self.v_max
         below = v_max <= lo
-        index = (~below & (v_min <= hi)).nonzero()[0]
+        border = v_min <= hi
+        border &= ~below
         self.bracket = (lo, hi)
-        if index.size == below.size:
+        if np.logical_and.reduce(border):  # every piece is active
             return
         # pieces below the bracket count in full, those above it not at all
         np.copyto(self.widths, 0.0)
-        np.copyto(self.widths, self.width, where=below)
-        del self.diff, v_min, v_max  # each array is freed once it is replaced
-        for name in ("v_min", "v_max", "width", "edge"):
-            setattr(self, name, getattr(self, name)[index])
+        np.subtract(self.a_hi, self.a_lo, out=self.widths, where=below)
+        del below
+        core = v_min < lo
+        core &= v_max > hi
+        border &= ~core
+        border = border.nonzero()[0]
+        self.v_min, self.v_max, self.edge = v_min[border], v_max[border], self.edge[border]
+        del v_min, v_max, self.diff, self.border
+        # a rising core piece is measured from lo, a falling one from hi
+        rising = (core & (self.coef > 0.0)).nonzero()[0]
+        core &= self.coef < 0.0
+        falling = core.nonzero()[0]
+        index = np.concatenate((rising, falling, border))
+        r, k = rising.size, rising.size + falling.size
+        del core, rising, falling, border
         self.a_offset, self.a_coef = self.offset[index], self.coef[index]
         self.a_lo, self.a_hi = self.bounds[:-1][index], self.bounds[1:][index]
         self.diff, self.w = np.empty(index.size), np.empty(index.size)
         self.index = index
+        w, diff = self.w, self.diff
+        self.core = (w[:r], self.a_lo[:r], w[r:k], self.a_hi[r:k], diff[:k])
+        self.border = (w[k:], self.edge, self.a_lo[k:], self.a_hi[k:], diff[k:])
 
     def steps(self, lo: float, hi: float) -> tuple[list[float] | None, float]:
         """The floats in ``(lo, hi]`` at which the computed level can change.
@@ -401,38 +440,51 @@ def level_measure(profile: DeltaProfile, c: float) -> tuple[float, float]:
     into the piece, and adds ``1 / (|c - d| ln b)`` to the slope ``L'(c)``.
 
     On a narrowed search profile (see ``_LevelProfile.narrow``) the pass
-    evaluates only the active pieces, scatters their widths into the
-    full-length buffer and sums all of it in the same order, so ``L(c)`` has
-    the same bits as a pass over every piece; a level outside the bracket
-    raises ``ValueError``.  The slope is summed over the active pieces alone,
-    so its last bits may differ from a full pass; the search's result does
-    not depend on them (see the module docstring).
+    evaluates only the active pieces, the core without masks, scatters
+    their widths into the full-length buffer and sums all of it in the same
+    order, so ``L(c)`` has the same bits as a pass over every piece; a
+    level outside the bracket raises ``ValueError``.  The slope is summed
+    over the core and then over the border, so its last bits may differ
+    from a full pass; the search's result does not depend on them (see the
+    module docstring).
     """
     p = profile if isinstance(profile, _LevelProfile) else _LevelProfile(profile)
     lo, hi = p.bracket
     if not lo <= c <= hi:
         raise ValueError(f"level {c!r} lies outside the bracket [{lo!r}, {hi!r}] "
                          f"this profile was narrowed to")
-    full = p.v_max <= c
-    straddle = (p.v_min < c) & ~full
     diff = np.subtract(c, p.a_offset, out=p.diff)
     w = p.w
-    # off the straddling pieces these may be nan or inf; they are masked
+    # off the straddling pieces these may be nan or inf; the border's are
+    # masked below, and the core has none
     with np.errstate(all="ignore"):
         np.divide(diff, p.a_coef, out=w)
         np.log(w, out=w)
         w /= p.log_b
         # clipped into the piece: np.clip's values up to the sign of a zero,
-        # which the abs below drops
+        # and the log makes no -0.0
         np.minimum(np.maximum(w, p.a_lo, out=w), p.a_hi, out=w)
         np.divide(1.0, np.abs(diff, out=diff), out=diff)
-    w -= p.edge
-    np.abs(w, out=w)
-    np.copyto(w, 0.0, where=~straddle)
-    np.copyto(w, p.width, where=full)
+    # measure below c: root - lo on rising pieces, hi - root on falling ones
+    w_border, edge, lo_border, hi_border, diff_border = p.border
+    np.abs(np.subtract(w_border, edge, out=w_border), out=w_border)
+    core_slope = 0.0
+    if p.core is not None:
+        w_rise, lo_rise, w_fall, hi_fall, core_diff = p.core
+        w_rise -= lo_rise
+        np.subtract(hi_fall, w_fall, out=w_fall)
+        core_slope = np.add.reduce(core_diff)
+    # a border piece that reaches c nowhere counts nothing, one that lies
+    # wholly at or below c (a constant piece at c too) counts in full
+    none = p.v_min >= c
+    full = p.v_max <= c
+    np.copyto(w_border, 0.0, where=none)
+    np.subtract(hi_border, lo_border, out=w_border, where=full)
     p.widths[p.index] = w
     level = min(1.0, max(0.0, compensated_sum(p.widths)))
-    return level, float(np.add.reduce(diff, where=straddle)) / p.log_b
+    straddle = np.logical_not(np.logical_or(none, full, out=none), out=none)
+    slope = core_slope + np.add.reduce(diff_border, where=straddle)
+    return level, float(slope) / p.log_b
 
 
 def _ordinal(x: float) -> int:

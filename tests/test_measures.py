@@ -14,6 +14,7 @@ from circletransport import (
     delta_profile,
     rotate_cdf,
     summation,
+    transport,
 )
 from circletransport.logseq import closed_form_cdf, reference_rotation
 from circletransport.measures import ATOM_MERGE_TOL, DeltaProfile, PiecewiseCdf
@@ -447,8 +448,8 @@ def test_closed_form_cdf_keeps_only_its_piece_arrays():
 @pytest.mark.parametrize("base", [2, 10])
 def test_profile_build_peaks_below_the_offset_search(base):
     # the offset search, with the profile alive, sets the traced peak of a
-    # both-metrics row, not the build of the profile: at (10, 10**6) about
-    # 50 MB against 79 MB, at (2, 10**6) 28 MB against 44 MB
+    # both-metrics row, not the build of the profile: at (10, 10**6) 51 MB
+    # against 68 MB, at (2, 10**6) 29 MB against 38 MB
     N = 10 ** 6
     G = cdf_wrapped_exponential(base, reference_rotation(base, N))
     tracemalloc.start()
@@ -461,6 +462,41 @@ def test_profile_build_peaks_below_the_offset_search(base):
     finally:
         tracemalloc.stop()
     assert build_peak < search_peak
+
+
+# The offset search's own memory, per piece of the profile, by its design:
+# five float64 arrays (v_min, v_max, the edges and the pass's two buffers)
+# and at most three bool masks at once, 43 bytes a piece.  Once narrowed it
+# holds the width buffer (8 bytes a piece) and, per active piece, the index,
+# offsets, coefficients, both bounds, the two buffers and one bool mask of
+# `steps` (57 bytes), plus v_min, v_max and the edge of each border piece.
+SEARCH_BYTES_PER_PIECE = 5 * 8 + 3
+NARROWED_BYTES_PER_PIECE, NARROWED_BYTES_PER_ACTIVE, BORDER_BYTES = 8, 7 * 8 + 1, 3 * 8
+SEARCH_SLACK_BYTES = 2 ** 16  # Python objects and short lists
+
+
+@pytest.mark.parametrize("base,N", [(10, 2 * 10 ** 5), (2, 2 * 10 ** 5)])
+def test_offset_search_holds_its_designed_working_set(base, N, monkeypatch):
+    # the profile's own arrays, its cached b**bounds included, exist before
+    # the trace starts, so the traced peak is the search's own
+    G = cdf_wrapped_exponential(base, reference_rotation(base, N))
+    profile = delta_profile(closed_form_cdf(base, N), G)
+    profile._bound_powers()
+    narrowed = []
+    narrow = transport._LevelProfile.narrow
+
+    def recorded(self, lo, hi):
+        narrow(self, lo, hi)
+        narrowed.append((self.a_coef.size, self.v_min.size))
+
+    monkeypatch.setattr(transport._LevelProfile, "narrow", recorded)
+    _, _, peak = _traced(median_offset, profile)
+    (active, border), = narrowed
+    P = profile.piece_count
+    designed = max(SEARCH_BYTES_PER_PIECE * P,
+                   NARROWED_BYTES_PER_PIECE * P + NARROWED_BYTES_PER_ACTIVE * active
+                   + BORDER_BYTES * border)
+    assert peak <= designed + SEARCH_SLACK_BYTES, (peak / P, active / P)
 
 
 def test_writeable_arrays_are_copied_and_read_only_ones_kept():

@@ -273,6 +273,45 @@ def brackets(prof, rng):
     return [(c_lo - spread, c_lo + spread), (float(values[i]), float(values[j]))]
 
 
+def value_ranges(prof):
+    """Each piece's least and greatest value, as a level pass computes them."""
+    b = float(prof.base)
+    v_lo = prof.coef * np.power(b, prof.bounds[:-1]) + prof.offset
+    v_hi = prof.coef * np.power(b, prof.bounds[1:]) + prof.offset
+    return np.minimum(v_lo, v_hi), np.maximum(v_lo, v_hi)
+
+
+def value_end_brackets(prof):
+    """Brackets around the median offset whose ends are piece values, so
+    that pieces start or end exactly at an end or inside the bracket: the
+    cases where a piece is in the core (``v_min < lo`` and ``v_max > hi``)
+    or on the border by one comparison."""
+    c = median_offset(prof)
+    v_min, v_max = value_ranges(prof)
+    out = []
+    for low, high in ((v_min, v_max), (v_max, v_min), (v_min, v_min), (v_max, v_max)):
+        below, above = low[low <= c], high[high >= c]
+        if below.size and above.size:
+            lo, hi = float(below.max()), float(above.min())
+            if lo < hi:
+                out.append((lo, hi))
+    return out
+
+
+def coreless_bracket(prof):
+    """A bracket around the median offset wider than every piece's value
+    range, so that no piece straddles all of it: the core is empty."""
+    c = median_offset(prof)
+    v_min, v_max = value_ranges(prof)
+    spread = float((v_max - v_min).max())
+    return c - spread, c + spread
+
+
+def core_size(level):
+    """How many active pieces of a narrowed search profile are in its core."""
+    return level.index.size - level.v_min.size
+
+
 NARROW_ROWS = [(2, 6000), (3, 5000), (10, 5000), (16, 5000)]
 
 
@@ -286,6 +325,7 @@ class TestNarrowedLevel:
             want, full_slope = level_measure(prof, c)
             assert got.hex() == want.hex(), c
             assert slope == pytest.approx(full_slope, rel=1e-10, abs=0.0)
+        return level
 
     @pytest.mark.parametrize("base,N", NARROW_ROWS)
     def test_rows(self, base, N, rng):
@@ -293,14 +333,36 @@ class TestNarrowedLevel:
         for lo, hi in brackets(prof, rng):
             self.assert_same_bits(prof, lo, hi)
 
+    @pytest.mark.parametrize("base,N", NARROW_ROWS)
+    def test_bracket_ends_at_piece_values(self, base, N):
+        prof = nu_profile(base, N)
+        v_min, v_max = value_ranges(prof)
+        ends = value_end_brackets(prof)
+        assert len(ends) == 4
+        for lo, hi in ends:
+            level = self.assert_same_bits(prof, lo, hi)
+            # a piece that starts or ends at an end of the bracket and does
+            # not lie below it is on the border, not in the core
+            at_ends = ((v_min == lo) | (v_min == hi) | (v_max == hi)).nonzero()[0]
+            assert at_ends.size
+            assert np.isin(at_ends, level.index[core_size(level):]).all()
+
+    @pytest.mark.parametrize("base,N", NARROW_ROWS)
+    def test_bracket_with_an_empty_core(self, base, N):
+        prof = nu_profile(base, N)
+        lo, hi = coreless_bracket(prof)
+        level = self.assert_same_bits(prof, lo, hi)
+        assert core_size(level) == 0 and 0 < level.index.size < prof.piece_count
+
     def test_random_pairs(self, rng):
         for _ in range(20):
             prof = delta_profile(random_cdf(rng), random_cdf(rng))
             values = piece_values(prof)
             if values.min() == values.max():
                 continue
-            for lo, hi in brackets(prof, rng):
-                self.assert_same_bits(prof, lo, hi)
+            for lo, hi in brackets(prof, rng) + value_end_brackets(prof) + [coreless_bracket(prof)]:
+                if lo < hi:
+                    self.assert_same_bits(prof, lo, hi)
 
     def test_levels_outside_the_bracket_are_refused(self, rng):
         prof = nu_profile(10, 5000)

@@ -15,9 +15,16 @@ row with ``compute_metrics`` and reads its peak RSS (``ru_maxrss``), so
 ``--repeats`` rows with the names a row looks up wrapped, and times each
 call, and as many rows unwrapped, which give ``row_s``.  A row's
 first ``integral_abs`` is its line integral and its last is its circle
-integral.  Every time is the median of the repeats, in seconds; over
-several processes, the median of their medians, and ``peak_rss_mb`` the
-median of their peaks.
+integral.  Last it computes one more row under ``tracemalloc``:
+``traced_peak_mb`` is that row's peak of live bytes (MiB, as
+``peak_rss_mb``) and ``traced_peak_layer`` the layer running at it, or
+``compute_metrics`` between layers.  ``ru_maxrss`` also counts memory the
+allocator holds freed, and glibc's moving mmap threshold shifts it by
+several MB with no change in live bytes, so memory claims rest on the
+traced peak.  Every time is the median of the repeats, in seconds; over
+several processes, the median of their medians, ``peak_rss_mb`` and
+``traced_peak_mb`` the medians of their peaks, and ``traced_peak_layer``
+the layer most of them name.
 
 ``--cpus one`` pins each process to one of its CPUs before the first row;
 ``--cpus all`` (the default) leaves it on all of them.  Only an integral
@@ -51,6 +58,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 DEFAULT_POINTS = ["2:100000:line", "2:1000000:line", "2:10000000:line",
                   "10:100000:both", "10:1000000:both"]
@@ -61,50 +69,98 @@ SMALL_PROCESSES = 5
 
 def measure_point(base: int, N: int, metrics: str, repeats: int) -> dict:
     """One point, measured in this process: call it in a fresh one."""
-    from circletransport import harness, transport
+    from circletransport import harness
 
     which = ("line",) if metrics == "line" else ("line", "circle")
     harness.compute_metrics(base, N, which)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     times: dict[str, list[float]] = {}
-    covers = []  # the covers a row integrates, first the line's
 
-    def timed(name, fn):
-        def wrapper(*args):
-            label = name
-            if name == "integral_abs":
-                covers.append(args[0])
-                label += "_line" if len(covers) == 1 else "_circle"
-            start = time.perf_counter()
-            out = fn(*args)
-            times.setdefault(label, []).append(time.perf_counter() - start)
-            return out
-        return wrapper
+    def timed(label, fn, args):
+        start = time.perf_counter()
+        out = fn(*args)
+        times.setdefault(label, []).append(time.perf_counter() - start)
+        return out
 
-    # the names a row looks up, wrapped for the timed rows
+    for _ in range(repeats):
+        pieces = wrapped_row(base, N, which, timed)[0].piece_count
+        start = time.perf_counter()
+        harness.compute_metrics(base, N, which)
+        times.setdefault("row", []).append(time.perf_counter() - start)
+    traced_peak, traced_layer = traced_peak_of_row(base, N, which)
+    return {"base": base, "N": N, "metrics": list(which), "pieces": pieces,
+            "peak_rss_mb": round(peak_rss_mb, 1),
+            "traced_peak_mb": round(traced_peak / 2 ** 20, 1),
+            "traced_peak_layer": traced_layer,
+            "row_s": statistics.median(times.pop("row")),
+            "layers_s": {name: statistics.median(v) for name, v in times.items()}}
+
+
+def wrapped_row(base: int, N: int, which: tuple, call) -> list:
+    """One row with each name it looks up wrapped; returns the covers it integrated.
+
+    Each call of a layer is made as ``call(label, fn, args)``.  The label is
+    the layer's name, except that a row's first ``integral_abs`` is its
+    line integral (``integral_abs_line``) and a later one its circle
+    integral (``integral_abs_circle``).  The names are restored after.
+    """
+    from circletransport import harness, transport
+
     targets = [(harness, "closed_form_cdf"), (harness, "cdf_wrapped_exponential"),
                (harness, "delta_profile"), (harness, "integral_abs"),
                (transport, "median_offset")]
     saved = [getattr(module, name) for module, name in targets]
-    wrapped = [timed(name, fn) for (_, name), fn in zip(targets, saved)]
-    for _ in range(repeats):
-        for (module, name), fn in zip(targets, wrapped):
-            setattr(module, name, fn)
-        try:
-            harness.compute_metrics(base, N, which)
-        finally:
-            for (module, name), fn in zip(targets, saved):
-                setattr(module, name, fn)
-        pieces = covers[0].piece_count
-        covers.clear()  # no cover outlives its row
-        start = time.perf_counter()
+    covers = []  # the covers a row integrates, first the line's
+
+    def wrapper(name, fn):
+        def wrapped(*args):
+            label = name
+            if name == "integral_abs":
+                covers.append(args[0])
+                label += "_line" if len(covers) == 1 else "_circle"
+            return call(label, fn, args)
+        return wrapped
+
+    for (module, name), fn in zip(targets, saved):
+        setattr(module, name, wrapper(name, fn))
+    try:
         harness.compute_metrics(base, N, which)
-        times.setdefault("row", []).append(time.perf_counter() - start)
-    return {"base": base, "N": N, "metrics": list(which), "pieces": pieces,
-            "peak_rss_mb": round(peak_rss_mb, 1),
-            "row_s": statistics.median(times.pop("row")),
-            "layers_s": {name: statistics.median(v) for name, v in times.items()}}
+    finally:
+        for (module, name), fn in zip(targets, saved):
+            setattr(module, name, fn)
+    return covers
+
+
+def traced_peak_of_row(base: int, N: int, which: tuple) -> tuple[int, str]:
+    """The tracemalloc peak of one row in bytes, and the layer that set it.
+
+    The peak is taken apart at every call of a layer: what happens between
+    the calls is booked to ``compute_metrics``.  Unlike ``ru_maxrss`` it
+    counts live bytes only, so it does not move with the allocator's
+    thresholds or with memory freed but not yet returned to the system.
+    """
+    peaks: dict[str, int] = {}
+
+    def book(label):
+        peaks[label] = max(peaks.get(label, 0), tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    def traced(label, fn, args):
+        book("compute_metrics")
+        try:
+            return fn(*args)
+        finally:
+            book(label)
+
+    tracemalloc.start()
+    try:
+        wrapped_row(base, N, which, traced)
+        book("compute_metrics")
+    finally:
+        tracemalloc.stop()
+    layer = max(peaks, key=peaks.get)
+    return peaks[layer], layer
 
 
 def merge(runs: list[dict]) -> dict:
@@ -114,6 +170,8 @@ def merge(runs: list[dict]) -> dict:
 
     point = dict(runs[0], processes=len(runs))
     point["peak_rss_mb"] = median(lambda run: run["peak_rss_mb"])
+    point["traced_peak_mb"] = median(lambda run: run["traced_peak_mb"])
+    point["traced_peak_layer"] = statistics.mode(run["traced_peak_layer"] for run in runs)
     point["row_s"] = median(lambda run: run["row_s"])
     point["layers_s"] = {name: median(lambda run: run["layers_s"][name])
                          for name in runs[0]["layers_s"]}
@@ -209,7 +267,8 @@ def main(argv=None) -> int:
               "points": results}
     if args.out:
         data = {"about": "tools/bench_layers.py: per point, peak_rss_mb of one row in a "
-                         "fresh process and medians in seconds of the layers and of a row",
+                         "fresh process, the traced peak of one row and the layer that "
+                         "set it, and medians in seconds of the layers and of a row",
                 "columns": {}}
         if os.path.exists(args.out):
             with open(args.out) as f:
