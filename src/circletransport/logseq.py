@@ -287,11 +287,10 @@ class _RowPieces:
         checks them.
 
         A span's bounds, their powers and its jumps depend on the span
-        alone.  Its levels add the running jump count before it, carried
-        from the span before when that one ended at its start, and taken
-        from the closed form (``_StepPieces.jumps_before``, the inserted piece
-        adding 0) otherwise.  Both are the same exact integer below 2**53,
-        so any span has the same bits however it is reached.
+        alone.  Its levels add the running jump count before it, an exact
+        integer below 2**53 from the closed form
+        (``_StepPieces.jumps_before``, the inserted piece adding 0), so any
+        span has the same bits however it is reached.
         """
         F, G, v, ins, landing = self._F, self._G, self._v, self._ins, self._landing
         coef_g = 0.0 - G.coef
@@ -309,7 +308,6 @@ class _RowPieces:
                 shift = int(ins < start)
                 write(start - shift, stop - shift, out)
 
-        end = carry = 0  # where the span before ended, and the jumps before it
         for start, stop in cuts:
             size = stop - start
             bounds, powers = columns[:2, :size + 1]
@@ -319,11 +317,8 @@ class _RowPieces:
                 raise ValueError("piece bounds must be strictly increasing")
             np.power(float(F.base), bounds, out=powers)
             joint(F.jumps, start, stop, offset, 0.0)
-            if start != end:
-                carry = F.jumps_before(start - (start > ins))
-            offset[0] += carry
+            offset[0] += F.jumps_before(start - (start > ins))
             np.add.accumulate(offset, out=offset)
-            end, carry = stop, offset[-1]
             offset /= F.count
             for g in range(G.piece_count):
                 a, z = (min(max(landing[i] - start, 0), size) for i in (g, g + 1))

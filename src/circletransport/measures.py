@@ -171,10 +171,20 @@ class _PiecewiseBase:
         return powers
 
     def _piece_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Start values and left limits at the right ends of the pieces."""
+        """Start values and left limits at the right ends of the pieces.
+
+        The one formula for them: ``coef * b**bound``, then ``+= offset``,
+        built in place, two fresh writeable arrays.  ``PiecewiseCdf``'s
+        jump check, the offset search's value ranges
+        (``transport._LevelProfile``) and ``oracle``'s quantiles and grid
+        take them from here.
+        """
         powers = self._bound_powers()
-        return (self.coef * powers[:-1] + self.offset,
-                self.coef * powers[1:] + self.offset)
+        starts = np.multiply(self.coef, powers[:-1])
+        starts += self.offset
+        ends = np.multiply(self.coef, powers[1:])
+        ends += self.offset
+        return starts, ends
 
 
 class PiecewiseCdf(_PiecewiseBase):
@@ -192,8 +202,7 @@ class PiecewiseCdf(_PiecewiseBase):
             raise ValueError("CDF pieces must be non-decreasing (coef >= 0)")
         starts = ends = offset
         if np.logical_or.reduce(coef):  # else coef * b**t adds exactly 0
-            powers = np.power(float(self.base), self.bounds)
-            starts, ends = coef * powers[:-1] + offset, coef * powers[1:] + offset
+            starts, ends = self._piece_values()
         if not np.logical_and.reduce(starts[1:] - ends[:-1] >= -_EDGE_TOL):
             raise ValueError("negative jump at a piece boundary")
         # the first piece starts at b**0 = 1, so its start value is coef + offset
@@ -304,6 +313,10 @@ def rotate_cdf(F: PiecewiseCdf, y: float) -> PiecewiseCdf:
     identity; rotating by ``y`` then ``<1 - y>`` recovers the original up to
     rounding.  Only empty pieces are dropped: equal neighbouring pieces are
     kept as they are, not merged.
+
+    No row calls it.  It stays public as the reference that the
+    ``cdf_wrapped_exponential`` tests compare against, and the circle
+    distance's rotation-invariance tests rotate with it.
     """
     if not 0.0 <= y < 1.0:
         raise ValueError(f"rotation must lie in [0, 1), got {y}")

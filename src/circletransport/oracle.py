@@ -161,9 +161,7 @@ def grid_minimize_offset(profile: DeltaProfile, grid_points: int) -> tuple[float
     """
     if grid_points < 2:
         raise ValueError(f"need at least two grid points, got {grid_points}")
-    b = float(profile.base)
-    v_lo = profile.coef * np.power(b, profile.bounds[:-1]) + profile.offset
-    v_hi = profile.coef * np.power(b, profile.bounds[1:]) + profile.offset
+    v_lo, v_hi = profile._piece_values()
     c_min = float(min(v_lo.min(), v_hi.min()))
     c_max = float(max(v_lo.max(), v_hi.max()))
     best_c, best_val = c_min, math.inf

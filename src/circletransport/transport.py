@@ -211,13 +211,12 @@ def _integrate(profile, c: float, pieces) -> tuple[list[float], list[float]]:
     """The block sums of the first and of the second parts of the spans
     that ``pieces`` yields (see ``integral_abs``)."""
     b, log_b = float(profile.base), math.log(profile.base)
-    # a span's temporaries are rows of one array made once per share; a
-    # new set on every span churned the top of the heap, which malloc
-    # trimmed and faulted in again (see ``summation._SPAN``).  The two rows
-    # of the split pieces are made at the first split: a line row's c = 0
-    # often splits no piece
+    # a span's temporaries, the split pieces' two included, are rows of one
+    # array made once per share; a new set on every span churned the top of
+    # the heap, which malloc trimmed and faulted in again (see
+    # ``summation._SPAN``)
     span_max = min(profile.piece_count, _SPAN + _BLOCK)
-    rows, split_rows = np.empty((4, span_max)), None
+    rows = np.empty((6, span_max))
     first, second = [], []
 
     # |integral of a*b**t + shift over [u, v]|, into out, with width and e
@@ -232,7 +231,7 @@ def _integrate(profile, c: float, pieces) -> tuple[list[float], list[float]]:
         return np.abs(out, out=out)
 
     for bounds, powers, a, offset in pieces:
-        shift, values, width, e = rows[:, :a.size]
+        shift, values, width, e, part, mid = rows[:, :a.size]
         lo, hi = bounds[:-1], bounds[1:]
         pow_lo, pow_hi = powers[:-1], powers[1:]
         np.subtract(offset, c, out=shift)
@@ -242,9 +241,6 @@ def _integrate(profile, c: float, pieces) -> tuple[list[float], list[float]]:
         values *= np.add(np.multiply(a, pow_hi, out=e), shift, out=e)
         split = (values < 0.0).nonzero()[0]
         if split.size:
-            if split_rows is None:
-                split_rows = np.empty((2, span_max))
-            part, mid = split_rows[:, :a.size]
             # the end values differ in sign only where shift and a do, so
             # -shift / a > 0 (short of underflow) and the log does not warn
             root = np.log(-shift[split] / a[split]) / log_b
@@ -300,12 +296,11 @@ class _LevelProfile(DeltaProfile):
 
     The search holds at most five full-length arrays of its own:
     ``v_min``, ``v_max``, the edges and the pass's two buffers.  The piece
-    values are built in place from the profile's ``b**bounds`` by the
-    operations of ``_piece_values``: ``v_min`` is written over the start
-    values, and the end values' memory takes the widths of the mean and
-    then serves as the width buffer, which a pass with every piece active
-    writes in place.  A full piece gets its width ``hi - lo`` from a masked
-    subtraction, so no array of widths is kept.  ``narrow`` frees the
+    values are built by ``_piece_values``: ``v_min`` is written over the
+    start values, and the end values' memory takes the widths of the mean
+    and then serves as the width buffer, which a pass with every piece
+    active writes in place.  A full piece gets its width ``hi - lo`` from a
+    masked subtraction, so no array of widths is kept.  ``narrow`` frees the
     full-length arrays before it makes the narrowed ones, so the allocator
     can hand their memory on.
     """
@@ -320,11 +315,7 @@ class _LevelProfile(DeltaProfile):
         self.index = slice(None)
         self.a_offset, self.a_coef = self.offset, self.coef
         self.a_lo, self.a_hi = self.bounds[:-1], self.bounds[1:]
-        powers = profile._bound_powers()
-        v_lo = np.multiply(self.coef, powers[:-1])
-        v_lo += self.offset
-        v_hi = np.multiply(self.coef, powers[1:])
-        v_hi += self.offset
+        v_lo, v_hi = profile._piece_values()
         # the mean of delta, the search's first probe: a*b**t + d integrates
         # over a piece to (v_hi - v_lo) / ln b + d * (hi - lo); the rises
         # are the pass's first scratch buffer

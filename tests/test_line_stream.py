@@ -128,8 +128,7 @@ def cover_matches_profile(base, N, G, c):
     """The row cover's spans, copied and joined, equal the profile's arrays
     and powers bit for bit, signed zeros included, and ``integral_abs`` over
     the cover at c has the profile's bits.  Each span read on its own, in a
-    shuffled order, so that its running jump count comes from the closed
-    form, equals the one read in order with the count carried."""
+    shuffled order, equals the one read in order."""
     cover = _RowPieces(LogSequenceSpec(base, N), G)
     profile = delta_profile(closed_form_cdf(base, N), G)
     cuts = list(spans(cover.piece_count))

@@ -315,6 +315,18 @@ def core_size(level):
 NARROW_ROWS = [(2, 6000), (3, 5000), (10, 5000), (16, 5000)]
 
 
+@pytest.mark.parametrize("base,N", [(10, 2 * 10 ** 4), (2, 2 * 10 ** 4)])
+def test_search_value_ranges_are_the_piece_values(base, N):
+    """The search's value ranges come from ``_piece_values``, the one
+    formula for a piece's end values, bit for bit, signed zeros included."""
+    prof = nu_profile(base, N)
+    starts, ends = prof._piece_values()
+    level = _LevelProfile(prof)
+    for got, want in ((level.v_min, np.minimum(starts, ends)),
+                      (level.v_max, np.maximum(starts, ends))):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestNarrowedLevel:
     """A narrowed search profile answers with the bits of a full pass."""
 
