@@ -114,9 +114,10 @@ class _StepPieces:
     i = b**(n-1)..N first, then the (n-1)-digit i = floor(N/b)+1 ..
     b**(n-1)-1, whose mantissas wrap around.  ``bounds`` writes bounds
     ``start..stop - 1``, bound ``size`` being 1.0; ``jumps`` writes the jump
-    counts (the CDF's jumps times N) of pieces ``start..stop - 1``.  Every
-    range gives each entry the float operations of the whole array, so a
-    caller may write the pieces in spans.
+    counts (the CDF's jumps times N) of pieces ``start..stop - 1``, and
+    ``levels`` their levels.  Every range gives each entry the float
+    operations of the whole array, so a caller may write the pieces in
+    spans.
 
     Construction refuses a row whose breakpoints binary64 cannot resolve,
     before any piece is written: written span by span, such a row would run
@@ -139,14 +140,15 @@ class _StepPieces:
         # that maps it into [1, b))
         self._blocks = ((0, split, top, top), (split, self.size, first, top // b))
         self._log_b = math.log(b)
-        # 1 + v_b(r) over one period r < P = b**K, the largest power of b at
-        # most min(N, 4096), with 1 + K at r = 0: at most 4096 entries, and
-        # P = 1 when b > min(N, 4096), every power of b <= N then added below
-        self._period = np.ones(b ** (digit_count(b, min(N, 4096)) - 1))
-        p = b
-        while p <= self._period.size:
+        # the powers b**j <= N, j >= 1; those up to 4096 make the period table,
+        # 1 + v_b(r) over one period r < P = b**K, the last of them (1 if there
+        # are none), with 1 + K at r = 0: at most 4096 entries
+        self._powers = [b ** j for j in range(1, n)]
+        K = sum(p <= 4096 for p in self._powers)
+        self._period = np.ones(b ** K)
+        for p in self._powers[:K]:
             self._period[::p] += 1.0
-            p *= b
+        self._larger = self._powers[K:]  # each adds one jump at its multiples
         probe = np.empty(2)
         for lo, hi, i, _ in self._blocks:
             if hi - lo < 2:
@@ -197,7 +199,7 @@ class _StepPieces:
         a range takes a few numpy calls and one per such power.  ``out`` is
         contiguous: the whole periods are written through a reshaped view.
         """
-        b, T = self.base, self._period
+        T = self._period
         P = T.size
         for a, z, i, _ in self._parts(start, stop):
             part = out[a:z]
@@ -206,10 +208,8 @@ class _StepPieces:
             full = (z - a - head) // P * P
             part[head:head + full].reshape(-1, P)[:] = T
             part[head + full:] = T[:z - a - head - full]
-            p = P * b
-            while p <= self.count:
+            for p in self._larger:
                 part[-i % p::p] += 1.0
-                p *= b
 
     def jumps_before(self, stop: int) -> int:
         """The jumps of pieces ``0..stop - 1`` summed, as an exact int.
@@ -218,15 +218,21 @@ class _StepPieces:
         jumps of 1 and one more at each multiple of each power b**j <= N,
         j >= 1, of which there are floor(z / b**j) - floor((a - 1) / b**j).
         """
-        b, total = self.base, 0
+        total = 0
         for lo, hi, a, _ in self._parts(0, stop):
             z = a + hi - lo - 1
-            total += z - a + 1
-            p = b
-            while p <= self.count:
-                total += z // p - (a - 1) // p
-                p *= b
+            total += z - a + 1 + sum(z // p - (a - 1) // p for p in self._powers)
         return total
+
+    def levels(self, start: int, stop: int, out: np.ndarray) -> None:
+        """The CDF's levels on pieces ``start..stop - 1``: the running jump
+        count, from ``jumps_before(start)``, over N.  The sums are exact
+        integers below 2**53, so any range, an empty one included, has the
+        bits of the whole array."""
+        self.jumps(start, stop, out)
+        out[:1] += self.jumps_before(start)
+        np.add.accumulate(out, out=out)
+        out /= self.count
 
 
 # A line row is refused past this many pieces: about 7 minutes at the
@@ -245,11 +251,11 @@ class _RowPieces:
     binary64 resolution when this is built; a row of more than
     ``_PIECE_BUDGET`` pieces is refused next.  G's inner bound v goes where
     ``delta_profile`` inserts it, at ``np.searchsorted(F.bounds, v)``
-    unless F has it, and the joint piece it starts repeats F's piece before
-    it without a jump.  Each joint piece takes the operations it takes in
-    the profile: its level (the running jump count over N) minus G's
-    offset, 0.0 minus G's coef, and ``b**t`` at its bounds.  So
-    ``integral_abs`` over this cover has the bits it has over the profile.
+    unless F has it, and the joint piece it starts repeats F's level on the
+    piece before it.  Each joint piece takes the operations it takes in
+    the profile: its level (``_StepPieces.levels``) minus G's offset, 0.0
+    minus G's coef, and ``b**t`` at its bounds.  So ``integral_abs`` over
+    this cover has the bits it has over the profile.
     """
 
     def __init__(self, spec: LogSequenceSpec, G: PiecewiseCdf):
@@ -275,6 +281,7 @@ class _RowPieces:
                 f"past the budget of {_PIECE_BUDGET} (about 7 minutes at 40 ns a piece)")
         self._F, self._G, self._v = F, G, v
         self._ins = at if new else F.size + 1  # the joint index of v; past every index if not new
+        self._level = F.jumps_before(at) / F.count  # F's level on piece at - 1, which v splits
         self._landing = (0, at, self.piece_count)  # the joint pieces where G's pieces start and end
 
     def spans(self, cuts):
@@ -286,11 +293,9 @@ class _RowPieces:
         next span's first bound included, are checked as ``PiecewiseCdf``
         checks them.
 
-        A span's bounds, their powers and its jumps depend on the span
-        alone.  Its levels add the running jump count before it, an exact
-        integer below 2**53 from the closed form
-        (``_StepPieces.jumps_before``, the inserted piece adding 0), so any
-        span has the same bits however it is reached.
+        A span's bounds, their powers and its levels depend on the span
+        alone: ``_StepPieces.levels`` gives any range the bits of the whole
+        array, so any span has the same bits however it is reached.
         """
         F, G, v, ins, landing = self._F, self._G, self._v, self._ins, self._landing
         coef_g = 0.0 - G.coef
@@ -311,15 +316,12 @@ class _RowPieces:
         for start, stop in cuts:
             size = stop - start
             bounds, powers = columns[:2, :size + 1]
-            offset, coef = columns[2, :size], coefs[:size]  # the levels, from the jumps in place
+            offset, coef = columns[2, :size], coefs[:size]
             joint(F.bounds, start, stop + 1, bounds, v)
             if not np.logical_and.reduce(bounds[1:] > bounds[:-1]):
                 raise ValueError("piece bounds must be strictly increasing")
             np.power(float(F.base), bounds, out=powers)
-            joint(F.jumps, start, stop, offset, 0.0)
-            offset[0] += F.jumps_before(start - (start > ins))
-            np.add.accumulate(offset, out=offset)
-            offset /= F.count
+            joint(F.levels, start, stop, offset, self._level)
             for g in range(G.piece_count):
                 a, z = (min(max(landing[i] - start, 0), size) for i in (g, g + 1))
                 coef[a:z] = coef_g[g]
@@ -331,15 +333,13 @@ def closed_form_cdf(base: int, count: int) -> PiecewiseCdf:
     """Step CDF of ``build_nu(base, count)`` by running jump counts.
 
     Its pieces are those of ``_StepPieces``: each level is a running sum of
-    the jumps 1 + v_b(i), divided by N, in O(N) work.  The sums are
-    integer-valued floats, exact below 2**53 like the bounds' counts, so
-    each ``k / N`` is the exact count's.
+    the jumps 1 + v_b(i), divided by N, in O(N) work (``_StepPieces.levels``).
+    The sums are integer-valued floats, exact below 2**53 like the bounds'
+    counts, so each ``k / N`` is the exact count's.
     """
     pieces = _StepPieces(LogSequenceSpec(base, count))
     levels = np.empty(pieces.size)
-    pieces.jumps(0, pieces.size, levels)
-    np.add.accumulate(levels, out=levels)
-    levels /= pieces.count
+    pieces.levels(0, pieces.size, levels)
     bounds = np.empty(pieces.size + 1)
     pieces.bounds(0, pieces.size + 1, bounds)
     return _step_cdf(pieces.base, bounds, levels)

@@ -1,12 +1,27 @@
-"""Brute-force references the transport engine is tested against.
+"""Brute-force references the transport engine is tested against, and
+cross-checks that drive the engine itself.
 
-Everything here is deliberately independent of the piecewise machinery:
-discrete distances come from merged-CDF sums over atom lists, the circle
-variant enumerates cut candidates at every atom (for discrete measures an
-optimal cut can always be placed at an atom, since the CDF difference is
-piecewise constant and every level it takes is attained at an atom), and the
-offset minimizer is cross-checked on a plain value grid and by cutting the
-circle open at a given point (``cut_distance``).
+The independent references share no code with the piecewise machinery:
+
+- ``discrete_w1_line`` and ``discrete_w1_circle`` take distances from
+  merged-CDF sums over ``AtomList``s.  The circle variant enumerates cut
+  candidates at every atom: for discrete measures an optimal cut can always
+  be placed at an atom, since the CDF difference is piecewise constant and
+  every level it takes is attained at an atom.
+- ``significand_count`` counts the k <= N up to a mantissa in integer
+  arithmetic (with ``logseq.digit_count``).
+
+The cross-checks run the engine, so they test one of its parts against
+another, not against an independent truth:
+
+- ``quantile_discretize`` reads the pieces' end values (``_piece_values``).
+- ``grid_minimize_offset`` checks the offset minimizer on a plain value
+  grid; it takes the grid's extent from ``_piece_values`` and each value
+  from ``integral_abs``.
+- ``cut_distance`` cuts the circle open at a given point and calls
+  ``integral_abs``.
+- ``equivalence_trials`` compares ``w1_line`` and ``w1_circle`` with the
+  discrete references on random atoms.
 """
 
 from __future__ import annotations

@@ -214,7 +214,11 @@ def _integrate(profile, c: float, pieces) -> tuple[list[float], list[float]]:
     # a span's temporaries, the split pieces' two included, are rows of one
     # array made once per share; a new set on every span churned the top of
     # the heap, which malloc trimmed and faulted in again (see
-    # ``summation._SPAN``)
+    # ``summation._SPAN``).  Rows as wide as the longest cut (32,768 floats,
+    # a 256 KiB stride) made the (2, 10^7) line row slower on one CPU of a
+    # 2-CPU Xeon, in two runs of five alternating fresh processes: 139-146
+    # ms against 129-134 ms at this width (5 of 5), then 146-187 ms against
+    # 136-166 ms (4 of 5); keep this width
     span_max = min(profile.piece_count, _SPAN + _BLOCK)
     rows = np.empty((6, span_max))
     first, second = [], []

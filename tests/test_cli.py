@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from circletransport import harness
+from circletransport import harness, oracle
 from circletransport.cli import main
+from circletransport.logseq import digit_count
 
 
 def run_cli(capsys, *argv):
@@ -110,7 +111,57 @@ class TestVerify:
         assert "line-sharp-rate" in out
 
 
+class TestVerifyChecks:
+    """``verify`` over synthetic rows, ``harness.run_sweep`` replaced: a
+    failed hard check exits 1, a WARN does not, and a base other than 10
+    reports the circle bound and the linear floor as INFO."""
+
+    BOUND = harness.CIRCLE_SQRT_BOUND
+    # deviations of scaled_line from 1/(2 ln b) along one phase class
+    SHRINKING, GROWING = (0.003, 0.002, 0.001), (0.001, 0.003, 0.001)
+
+    def run(self, capsys, monkeypatch, base, Ns, deviations, circle_sqrt):
+        limit = harness.line_rate_limit(base)
+        rows = [harness.MetricsRow(base=base, N=N, n=digit_count(base, N), d_line=2e-3,
+                                   d_circle=1e-3, offset_c=0.0, scaled_line=limit + dev,
+                                   scaled_circle_sqrt=circle_sqrt, scaled_circle_linear=1.0,
+                                   wall_time_seconds=0.0)
+                for N, dev in zip(Ns, deviations)]
+        monkeypatch.setattr(harness, "run_sweep", lambda cfg: rows)
+        return run_cli(capsys, "verify", "--base", str(base), "--n-min", "1000",
+                       "--n-max", "100000")
+
+    @pytest.mark.parametrize("deviations,circle_sqrt,code,line", [
+        (SHRINKING, 0.9 * BOUND, 0, "PASS circle-bound: "),
+        (SHRINKING, 1.2 * BOUND, 0, "WARN circle-bound: "),
+        (SHRINKING, 2.0 * BOUND, 1, "FAIL circle-bound: "),
+        (GROWING, 0.9 * BOUND, 1, "FAIL line-rate-monotone: "),
+    ], ids=["pass", "circle-warn", "circle-fail", "monotone-fail"])
+    def test_base_10_checks(self, capsys, monkeypatch, deviations, circle_sqrt, code, line):
+        got, out, _ = self.run(capsys, monkeypatch, 10, (1000, 10 ** 4, 10 ** 5),
+                               deviations, circle_sqrt)
+        lines = out.splitlines()
+        assert got == code
+        assert sum(l.startswith(line) for l in lines) == 1
+        assert sum(l.startswith("FAIL") for l in lines) == code  # the expected one only
+        assert lines[-1] == "verification " + ("FAILED" if code else "PASSED")
+
+    def test_other_bases_report_the_base_10_bounds_as_info(self, capsys, monkeypatch):
+        code, out, _ = self.run(capsys, monkeypatch, 2, (2 ** 10, 2 ** 12, 2 ** 14),
+                                self.SHRINKING, 2.0 * self.BOUND)
+        assert code == 0
+        lines = out.splitlines()
+        assert any(l.startswith("INFO circle-bound: ") and "base 10 only" in l for l in lines)
+        assert any(l.startswith("INFO linear-floor: ") and "base 10 only" in l for l in lines)
+
+
 class TestOracleCheck:
+    def test_an_error_past_the_tolerance_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "equivalence_trials", lambda *args: (0.0, 2e-9))
+        code, out, _ = run_cli(capsys, "oracle-check", "--trials", "5")
+        assert code == 1
+        assert out.splitlines()[-1] == "tolerance=1.0e-09 -> FAIL"
+
     def test_small_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "oracle-check", "--trials", "20",
                                "--max-atoms", "12", "--seed", "7")

@@ -225,6 +225,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             read_csv(str(out))
 
+    @pytest.mark.parametrize("text", ["", "base,N\n", "N,base,n\n"], ids=["empty", "short", "reordered"])
+    def test_csv_with_an_unexpected_header_is_rejected(self, tmp_path, text):
+        out = tmp_path / "bad.csv"
+        out.write_text(text)
+        with pytest.raises(ValueError, match="unexpected CSV header"):
+            read_csv(str(out))
+
     def test_determinism_excluding_wall_time(self, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         run_sweep(SweepConfig(**self.CFG, out=a))
@@ -276,6 +283,13 @@ class TestPhaseClasses:
         assert sorted(len(c) for c in classes) == [2, 2, 2, 3]
         powers = next(c for c in classes if len(c) == 3)
         assert [r.N for r in powers] == [1000, 10000, 100000]
+
+    def test_classes_either_side_of_the_wrap_at_1_merge(self):
+        # phases 0.9912 (N = 9800, 98000) and 0.0 (N = 1000) lie 0.0088 apart
+        # across 1; 3162 (phase 0.49996) stays apart
+        rows = [MetricsRow(10, N, 4, 0, 0, 0, 0, 0, 0, 0) for N in (1000, 3162, 9800, 98000)]
+        classes = _phase_classes(rows)
+        assert sorted([r.N for r in c] for c in classes) == [[1000, 9800, 98000], [3162]]
 
     def test_decade_medians_windows(self):
         rows = [MetricsRow(10, N, 4, 0, 0, 0, float(N), 0, 0, 0)

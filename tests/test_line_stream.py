@@ -389,7 +389,9 @@ def test_concurrent_line_rows_keep_their_bits():
                                     (4099, 30 * 4099), (7, 117645), (2, 2 ** 17 - 1)])
 def test_the_closed_form_jump_count_is_the_running_sum(base, N):
     """``_StepPieces.jumps_before(k)``, by Legendre's formula, is the running
-    sum of the jumps before piece k, on both digit blocks and their edge."""
+    sum of the jumps before piece k, on both digit blocks and their edge,
+    and ``levels`` over any range, an empty one included, has the bits of
+    the whole array."""
     F = _StepPieces(LogSequenceSpec(base, N))
     jumps = np.empty(F.size)
     F.jumps(0, F.size, jumps)
@@ -397,6 +399,13 @@ def test_the_closed_form_jump_count_is_the_running_sum(base, N):
     split = N + 1 - base ** (LogSequenceSpec(base, N).digits - 1)
     ks = sorted({*range(0, F.size + 1, 97), split - 1, split, split + 1, F.size} & {*range(F.size + 1)})
     assert [F.jumps_before(k) for k in ks] == running[ks].tolist()
+    levels = np.empty(F.size)
+    F.levels(0, F.size, levels)
+    assert levels.tobytes() == (running[1:] / N).tobytes()
+    for start, stop in zip(ks, ks[1:] + [F.size]):
+        part = np.empty(stop - start)
+        F.levels(start, stop, part)
+        assert part.tobytes() == levels[start:stop].tobytes()
 
 
 def test_a_row_past_the_piece_budget_is_refused_at_once(monkeypatch):

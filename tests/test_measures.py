@@ -203,6 +203,11 @@ class TestRotateCdf:
             err = np.max(np.abs(back.value(t) - F.value(t)))
             assert err <= 1e-12
 
+    @pytest.mark.parametrize("y", [-0.1, 1.0, 1.5, math.nan])
+    def test_rejects_rotation_outside_unit(self, y):
+        with pytest.raises(ValueError, match="rotation must lie in \\[0, 1\\)"):
+            rotate_cdf(cdf_wrapped_exponential(10, 0.3), y)
+
     def test_rotation_of_atom(self):
         F = cdf_of_empirical(build_empirical([0.0], 10))
         R = rotate_cdf(F, 0.25)  # atom moves to <0 - 0.25> = 0.75
@@ -357,6 +362,34 @@ def test_non_finite_piece_arrays_are_rejected(cls, array, bad):
     else:
         pieces[array][1 if array == "bounds" else 0] = bad
     with pytest.raises(ValueError):
+        cls(base=10, **pieces)
+
+
+# each a valid two-step CDF with one change, and the refusal it meets
+MALFORMED_PIECES = {
+    "2-d bounds": ({"bounds": np.array([[0.0, 0.5, 1.0]])}, "inconsistent piece array shapes"),
+    "short offset": ({"offset": np.array([0.5])}, "inconsistent piece array shapes"),
+    "no pieces": ({"bounds": np.array([1.0]), "coef": np.zeros(0), "offset": np.zeros(0)},
+                  "pieces must cover"),
+    "late start": ({"bounds": np.array([0.1, 0.5, 1.0])}, "pieces must cover"),
+    "early end": ({"bounds": np.array([0.0, 0.5, 0.9])}, "pieces must cover"),
+}
+MALFORMED_CDFS = {
+    "falling piece": ({"coef": np.array([0.0, -0.1])}, "non-decreasing \\(coef >= 0\\)"),
+    "negative start": ({"offset": np.array([-0.5, 1.0])}, "rise from 0 to a left limit of 1"),
+    "short of 1": ({"offset": np.array([0.5, 0.9])}, "rise from 0 to a left limit of 1"),
+}
+
+
+@pytest.mark.parametrize("cls,case", [(cls, case) for cls in (PiecewiseCdf, DeltaProfile)
+                                      for case in MALFORMED_PIECES]
+                         + [(PiecewiseCdf, case) for case in MALFORMED_CDFS],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_malformed_piece_arrays_are_refused(cls, case):
+    change, message = {**MALFORMED_PIECES, **MALFORMED_CDFS}[case]
+    pieces = {"bounds": np.array([0.0, 0.5, 1.0]), "coef": np.zeros(2),
+              "offset": np.array([0.5, 1.0]), **change}
+    with pytest.raises(ValueError, match=message):
         cls(base=10, **pieces)
 
 

@@ -107,6 +107,15 @@ class TestDiscreteLine:
         with pytest.raises(ValueError, match=message):
             AtomList(np.array(positions), np.array(weights))
 
+    @pytest.mark.parametrize("positions,weights", [
+        ([0.1, 0.2], [1.0]),
+        ([[0.5]], [[1.0]]),
+        ([], []),
+    ], ids=["unequal", "2-d", "empty"])
+    def test_malformed_atom_arrays_are_refused(self, positions, weights):
+        with pytest.raises(ValueError, match="matching non-empty 1-d arrays"):
+            AtomList(np.array(positions), np.array(weights))
+
 
 class TestDiscreteCircle:
     def test_wraparound(self):
@@ -130,6 +139,14 @@ class TestDiscreteCircle:
             d = discrete_w1_circle(AtomList.equal_weights(pos_a),
                                    AtomList.equal_weights(pos_b))
             assert d == pytest.approx(exhaustive_equal_weight_circle(pos_a, pos_b), abs=1e-12)
+
+    def test_mass_mismatch_rejected(self):
+        # forged past AtomList's own check, as in the line test
+        bad = AtomList.__new__(AtomList)
+        object.__setattr__(bad, "positions", np.array([0.1]))
+        object.__setattr__(bad, "weights", np.array([0.9]))
+        with pytest.raises(ValueError, match="total masses differ"):
+            discrete_w1_circle(AtomList.equal_weights([0.5]), bad)
 
     def test_brute_force_cap(self):
         big = AtomList.equal_weights(np.linspace(0, 0.999, 1500))
