@@ -68,7 +68,8 @@ class SweepConfig:
             object.__setattr__(self, name, _positive_int(getattr(self, name), name))
         if not self.n_min <= self.n_max:
             raise ValueError(f"need 1 <= n_min <= n_max, got [{self.n_min}, {self.n_max}]")
-        LogSequenceSpec(self.base, self.n_max)  # the base and the int64 envelope
+        # the base, stored as an int, and the int64 envelope
+        object.__setattr__(self, "base", LogSequenceSpec(self.base, self.n_max).base)
         if self.n_min < self.base:
             raise ValueError(f"n_min must be at least the base ({self.base})")
 
@@ -203,23 +204,26 @@ def fit_rate(rows: list[MetricsRow], column: str) -> RateFit:
     return RateFit(intercept=float(intercept), slope=float(slope), residual_max=resid)
 
 
-def _phase_classes(rows: list[MetricsRow], tol: float = 0.05) -> list[list[MetricsRow]]:
-    """Group rows whose N share (nearly) the same fractional part of log_b N.
+def _phase_classes(base: int, grid: list[int], points_per_decade: int) -> list[list[int]]:
+    """Group the N of a decade grid whose fractional parts of log_b N (nearly) agree.
 
     The finite-N correction to the scaled line statistic is a function of
     that fractional position, so the a + b/ln N model only holds along such
-    classes; mixing positions biases the fitted intercept.
+    classes; mixing positions biases the fitted intercept.  Phases link when
+    they lie closer than 0.05 and than half the grid's base-10 phase step
+    1/points_per_decade, so neighbouring grid points never chain into one
+    class; the classes either side of the wrap at 1 merge.
     """
-    tagged = sorted(((frac_log(r.base, r.N), r) for r in rows), key=lambda t: t[0])
-    classes: list[list] = [[tagged[0]]]
-    for ph, r in tagged[1:]:
-        if ph - classes[-1][-1][0] <= tol:
-            classes[-1].append((ph, r))
+    tol = min(0.05, 0.5 / points_per_decade)
+    classes: list[list[tuple[float, int]]] = []
+    for ph, N in sorted((frac_log(base, N), N) for N in grid):
+        if classes and ph - classes[-1][-1][0] < tol:
+            classes[-1].append((ph, N))
         else:
-            classes.append([(ph, r)])
-    if len(classes) > 1 and (classes[0][0][0] + 1.0 - classes[-1][-1][0]) <= tol:
+            classes.append([(ph, N)])
+    if len(classes) > 1 and classes[0][0][0] + 1.0 - classes[-1][-1][0] < tol:
         classes[0] = classes.pop() + classes[0]
-    return [sorted((r for _, r in cl), key=lambda r: r.N) for cl in classes]
+    return [sorted(N for _, N in cl) for cl in classes]
 
 
 def _decade_medians(rows: list[MetricsRow], value) -> list[tuple[int, float]]:
@@ -258,30 +262,29 @@ def verify(cfg: SweepConfig) -> VerificationReport:
     """Run the convergence checks on a sweep and report PASS/WARN/FAIL/INFO.
 
     Exit codes: 0 all hard checks pass, 1 a hard check fails, 2 the grid is
-    too small to be meaningful.
+    too small to be meaningful, which is decided from the grid before any
+    row runs.
     """
-    if max(decade_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade), default=0) < 1000:
-        return VerificationReport(
-            checks=[("FAIL", "grid", f"insufficient range: no grid point N >= 1000 "
-                                     f"in [{cfg.n_min}, {cfg.n_max}]")],
-            exit_code=2)
+    grid = decade_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade)
+    classes = _phase_classes(cfg.base, [N for N in grid if N >= 1000], cfg.points_per_decade)
+    if all(len(cl) < 3 for cl in classes):
+        reason = (f"no grid point N >= 1000 in [{cfg.n_min}, {cfg.n_max}]" if not classes else
+                  "no constant-phase class has 3 rows "
+                  "(widen [n_min, n_max] or raise points_per_decade)")
+        return VerificationReport(checks=[("FAIL", "grid", f"insufficient range: {reason}")],
+                                  exit_code=2)
     rows = run_sweep(cfg)
+    by_n = {r.N: r for r in rows}
+    classes = [[by_n[N] for N in cl] for cl in classes]
     gated = [r for r in rows if r.N >= 1000]
     checks: list[tuple[str, str, str]] = []
     limit = line_rate_limit(cfg.base)
 
     # Line sharp rate: fit a + b/ln N along constant-phase classes.
-    classes = _phase_classes(gated)
-    fits = [(cl, fit_rate(cl, "scaled_line")) for cl in classes if len(cl) >= 3]
-    if not fits:
-        return VerificationReport(
-            checks=[("FAIL", "grid",
-                     "insufficient range: no constant-phase class has 3 rows "
-                     "(widen [n_min, n_max] or raise points_per_decade)")],
-            exit_code=2)
-    worst = max(abs(f.intercept - limit) for _, f in fits)
+    fits = [fit_rate(cl, "scaled_line") for cl in classes if len(cl) >= 3]
+    worst = max(abs(f.intercept - limit) for f in fits)
     detail = (f"target 1/(2 ln {cfg.base}) = {limit:.7f}, intercepts "
-              + ", ".join(f"{f.intercept:.5f}" for _, f in fits)
+              + ", ".join(f"{f.intercept:.5f}" for f in fits)
               + f" over {len(fits)} phase classes, worst gap {worst:.5f} (tol {LINE_RATE_TOL})")
     checks.append(("PASS" if worst <= LINE_RATE_TOL else "FAIL", "line-sharp-rate", detail))
 

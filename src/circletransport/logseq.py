@@ -9,6 +9,7 @@ powers of b map to exactly 0.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -266,13 +267,10 @@ class _RowPieces:
             F.bounds(k, k + 1, one)
             return one[0]
 
-        # np.searchsorted(F.bounds, v) by bisection, F's bounds running from 0 < v
-        # to 1 >= v; a G of one piece has v = 1, F's last bound
+        # np.searchsorted(F.bounds, v), F's bounds running from 0 < v to 1 >= v;
+        # a G of one piece has v = 1, F's last bound
         v = G.bounds[1]
-        lo, at = 0, F.size
-        while at - lo > 1:
-            mid = (lo + at) // 2
-            lo, at = (mid, at) if bound(mid) < v else (lo, mid)
+        at = bisect.bisect_left(range(F.size + 1), v, 1, key=bound)
         new = bool(bound(at) != v)
         self.base, self.piece_count = spec.base, F.size + new
         if self.piece_count > _PIECE_BUDGET:

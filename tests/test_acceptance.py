@@ -75,7 +75,8 @@ class TestCriterion1SharpLineRate:
 
     def check_base(self, rows, elapsed, base):
         limit = line_rate_limit(base)
-        classes = _phase_classes(rows)
+        by_n = {r.N: r for r in rows}
+        classes = [[by_n[N] for N in cl] for cl in _phase_classes(base, list(by_n), 4)]
         fits = [fit_rate(cl, "scaled_line") for cl in classes if len(cl) >= 3]
         assert fits, "no constant-phase subsequence long enough to fit"
         worst = max(abs(f.intercept - limit) for f in fits)

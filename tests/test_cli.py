@@ -120,16 +120,23 @@ class TestVerifyChecks:
     # deviations of scaled_line from 1/(2 ln b) along one phase class
     SHRINKING, GROWING = (0.003, 0.002, 0.001), (0.001, 0.003, 0.001)
 
-    def run(self, capsys, monkeypatch, base, Ns, deviations, circle_sqrt):
+    def run(self, capsys, monkeypatch, base, n_max, fitted, deviations, circle_sqrt):
+        # a row at every grid point: ``deviations`` along the phase class
+        # ``fitted``, 0.001 on the other rows
         limit = harness.line_rate_limit(base)
-        rows = [harness.MetricsRow(base=base, N=N, n=digit_count(base, N), d_line=2e-3,
-                                   d_circle=1e-3, offset_c=0.0, scaled_line=limit + dev,
-                                   scaled_circle_sqrt=circle_sqrt, scaled_circle_linear=1.0,
-                                   wall_time_seconds=0.0)
-                for N, dev in zip(Ns, deviations)]
-        monkeypatch.setattr(harness, "run_sweep", lambda cfg: rows)
+        deviation = dict(zip(fitted, deviations))
+
+        def sweep(cfg):
+            return [harness.MetricsRow(base=base, N=N, n=digit_count(base, N), d_line=2e-3,
+                                       d_circle=1e-3, offset_c=0.0,
+                                       scaled_line=limit + deviation.get(N, 0.001),
+                                       scaled_circle_sqrt=circle_sqrt, scaled_circle_linear=1.0,
+                                       wall_time_seconds=0.0)
+                    for N in harness.decade_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade)]
+
+        monkeypatch.setattr(harness, "run_sweep", sweep)
         return run_cli(capsys, "verify", "--base", str(base), "--n-min", "1000",
-                       "--n-max", "100000")
+                       "--n-max", str(n_max))
 
     @pytest.mark.parametrize("deviations,circle_sqrt,code,line", [
         (SHRINKING, 0.9 * BOUND, 0, "PASS circle-bound: "),
@@ -138,7 +145,7 @@ class TestVerifyChecks:
         (GROWING, 0.9 * BOUND, 1, "FAIL line-rate-monotone: "),
     ], ids=["pass", "circle-warn", "circle-fail", "monotone-fail"])
     def test_base_10_checks(self, capsys, monkeypatch, deviations, circle_sqrt, code, line):
-        got, out, _ = self.run(capsys, monkeypatch, 10, (1000, 10 ** 4, 10 ** 5),
+        got, out, _ = self.run(capsys, monkeypatch, 10, 10 ** 5, (1000, 10 ** 4, 10 ** 5),
                                deviations, circle_sqrt)
         lines = out.splitlines()
         assert got == code
@@ -147,7 +154,8 @@ class TestVerifyChecks:
         assert lines[-1] == "verification " + ("FAILED" if code else "PASSED")
 
     def test_other_bases_report_the_base_10_bounds_as_info(self, capsys, monkeypatch):
-        code, out, _ = self.run(capsys, monkeypatch, 2, (2 ** 10, 2 ** 12, 2 ** 14),
+        # base 2's one class of three on the decade grid up to 10^6
+        code, out, _ = self.run(capsys, monkeypatch, 2, 10 ** 6, (1000, 31623, 10 ** 6),
                                 self.SHRINKING, 2.0 * self.BOUND)
         assert code == 0
         lines = out.splitlines()

@@ -264,9 +264,9 @@ class TestSweep:
             SweepConfig(base=10, **{name: value})
 
     def test_config_stores_integral_floats_as_ints(self):
-        cfg = SweepConfig(base=10, n_min=100.0, n_max=1e6, points_per_decade=4.0, threads=2.0)
-        names = ("n_min", "n_max", "points_per_decade", "threads")
-        assert [type(getattr(cfg, name)) for name in names] == [int] * 4
+        cfg = SweepConfig(base=10.0, n_min=100.0, n_max=1e6, points_per_decade=4.0, threads=2.0)
+        names = ("base", "n_min", "n_max", "points_per_decade", "threads")
+        assert [type(getattr(cfg, name)) for name in names] == [int] * 5
         assert cfg == SweepConfig(base=10, n_min=100, n_max=10 ** 6, points_per_decade=4, threads=2)
 
     def test_default_threads_are_the_cpus_the_thread_may_run_on(self):
@@ -277,19 +277,24 @@ class TestSweep:
 
 class TestPhaseClasses:
     def test_decimal_grid_has_four_classes(self):
-        rows = run_sweep(SweepConfig(base=10, n_min=1000, n_max=10 ** 5,
-                                     points_per_decade=4))
-        classes = _phase_classes(rows)
+        classes = _phase_classes(10, decade_grid(1000, 10 ** 5, 4), 4)
         assert sorted(len(c) for c in classes) == [2, 2, 2, 3]
         powers = next(c for c in classes if len(c) == 3)
-        assert [r.N for r in powers] == [1000, 10000, 100000]
+        assert powers == [1000, 10000, 100000]
+
+    @pytest.mark.parametrize("points_per_decade", [20, 40])
+    def test_neighbouring_grid_points_never_chain(self, points_per_decade):
+        # the phase step 1/points_per_decade is 0.05 or less
+        classes = _phase_classes(10, decade_grid(1000, 10 ** 5, points_per_decade),
+                                 points_per_decade)
+        assert len(classes) == points_per_decade
+        assert [1000, 10000, 100000] in classes
 
     def test_classes_either_side_of_the_wrap_at_1_merge(self):
         # phases 0.9912 (N = 9800, 98000) and 0.0 (N = 1000) lie 0.0088 apart
         # across 1; 3162 (phase 0.49996) stays apart
-        rows = [MetricsRow(10, N, 4, 0, 0, 0, 0, 0, 0, 0) for N in (1000, 3162, 9800, 98000)]
-        classes = _phase_classes(rows)
-        assert sorted([r.N for r in c] for c in classes) == [[1000, 9800, 98000], [3162]]
+        classes = _phase_classes(10, [1000, 3162, 9800, 98000], 4)
+        assert sorted(classes) == [[1000, 9800, 98000], [3162]]
 
     def test_decade_medians_windows(self):
         rows = [MetricsRow(10, N, 4, 0, 0, 0, float(N), 0, 0, 0)
@@ -316,7 +321,24 @@ class TestVerify:
         assert statuses["line-sharp-rate"] == "PASS"
         assert statuses["domination"] == "PASS"
 
-    def test_narrow_grid_without_phase_class(self):
-        report = verify(SweepConfig(base=10, n_min=1000, n_max=9000,
-                                    points_per_decade=4))
-        assert report.exit_code == 2
+    def test_narrow_grid_without_phase_class(self, monkeypatch):
+        # no three N of one phase in base 10 up to 9000, nor on base 7's
+        # decade grid up to 10^6: refused before any row runs
+        calls, real = [], harness.compute_metrics
+        monkeypatch.setattr(harness, "compute_metrics",
+                            lambda *args: calls.append(args) or real(*args))
+        for base, n_max in [(10, 9000), (7, 10 ** 6)]:
+            report = verify(SweepConfig(base=base, n_min=1000, n_max=n_max,
+                                        points_per_decade=4))
+            assert report.lines == ["FAIL grid: insufficient range: no constant-phase class "
+                                    "has 3 rows (widen [n_min, n_max] or raise points_per_decade)"]
+            assert report.exit_code == 2
+        assert calls == []
+
+    def test_twenty_points_a_decade_pass(self):
+        # 20 phase classes, not one chained across the decade
+        report = verify(SweepConfig(base=10, n_min=1000, n_max=10 ** 5,
+                                    points_per_decade=20, threads=2))
+        assert report.exit_code == 0, "\n".join(report.lines)
+        assert ("PASS line-rate-monotone: |scaled_line - 0.21715| non-increasing along "
+                "20 phase classes") in report.lines
