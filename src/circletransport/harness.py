@@ -228,8 +228,6 @@ def _phase_classes(base: int, grid: list[int], points_per_decade: int) -> list[l
 
 def _decade_medians(rows: list[MetricsRow], value) -> list[tuple[int, float]]:
     """Medians of ``value(row)`` over closed decade windows [10^k, 10^(k+1)]."""
-    if not rows:
-        return []
     k_lo = math.floor(math.log10(min(r.N for r in rows)))
     k_hi = math.ceil(math.log10(max(r.N for r in rows)))
     out = []
@@ -240,8 +238,8 @@ def _decade_medians(rows: list[MetricsRow], value) -> list[tuple[int, float]]:
     return out
 
 
-def _non_increasing(vals: list[float], slack: float = 1e-12) -> bool:
-    return all(vals[i + 1] <= vals[i] + slack for i in range(len(vals) - 1))
+def _non_increasing(vals: list[float]) -> bool:
+    return all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import CircleEmpirical, PiecewiseCdf, _check_base, _step_cdf, build_empirical
-from .summation import _BLOCK, _SPAN
+from .summation import _SPAN_MAX
 
 __all__ = [
     "LogSequenceSpec",
@@ -297,7 +297,7 @@ class _RowPieces:
         """
         F, G, v, ins, landing = self._F, self._G, self._v, self._ins, self._landing
         coef_g = 0.0 - G.coef
-        width = min(self.piece_count, _SPAN + _BLOCK)
+        width = min(self.piece_count, _SPAN_MAX)
         columns, coefs = np.empty((3, width + 1)), np.empty(width)
 
         def joint(write, start, stop, out, inserted):

@@ -45,6 +45,9 @@ _BLOCK = 4096
 # thresholds.
 _SPAN = 8 * _BLOCK
 
+# the longest span: a remainder of at most ``_BLOCK`` joins the last one
+_SPAN_MAX = _SPAN + _BLOCK
+
 
 def block_sums(values) -> list[float]:
     """The floats whose ``math.fsum`` is ``compensated_sum(values)``."""

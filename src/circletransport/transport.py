@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DeltaProfile, PiecewiseCdf, delta_profile
-from .summation import _BLOCK, _SPAN, block_sums, compensated_sum, spans
+from .summation import _SPAN_MAX, block_sums, compensated_sum, spans
 
 __all__ = [
     "TransportResult",
@@ -137,12 +137,15 @@ def integral_abs(profile, c: float) -> float:
     first, when the cover has at least ``_FORK_MIN_PIECES`` pieces, the
     platform has ``os.fork`` and the caller is the process's only Python
     thread (a fork copies only the thread that calls it).  A worker
-    integrates its share, pipes back its block sums or the exception it
-    raised, and leaves by ``os._exit``.  The caller integrates the first
-    share, then reaps every worker and raises here what a worker raised;
-    if the caller raises, it kills the workers it has not reaped.  No
-    worker outlives the call.  Otherwise the caller integrates every span
-    itself.  The bits are the same either way.
+    integrates its share, pipes back its block sums, or nothing if it
+    raises, and leaves by ``os._exit``.  The caller integrates the first
+    share, then reaps every worker and integrates itself each share that
+    got no reply: an error in the spans, such as tied bounds, is then
+    raised in the caller's own frame, and a worker killed from outside
+    costs only its share's time.  If the caller raises, it kills the
+    workers it has not reaped.  No worker outlives the call.  Otherwise
+    the caller integrates every span itself.  The bits are the same
+    either way.
     """
     if math.isnan(c):
         raise ValueError("level c must not be NaN")
@@ -152,24 +155,21 @@ def integral_abs(profile, c: float) -> float:
     k = min(_cpus(), len(cuts)) if forks else 1
     shares = [cuts[len(cuts) * i // k:len(cuts) * (i + 1) // k] for i in range(k)]
     pieces = profile.spans(shares[0])  # a profile computes its powers here, before any fork
-    workers = []  # (pid, pipe) of each worker not yet reaped
+    workers = []  # (pid, pipe, share) of each worker not yet reaped
     try:
         for share in shares[1:]:
-            workers.append(_fork(profile, c, share))
+            workers.append((*_fork(profile, c, share), share))
         first, second = _integrate(profile, c, pieces)
         while workers:
-            pid, pipe = workers[-1]
+            pid, pipe, share = workers[-1]
             reply = pipe.read()
             workers.pop()
-            status = _reap(pid, pipe)
-            sums = (pickle.loads(reply) if reply else RuntimeError(
-                f"an integral_abs worker ended with no result (wait status {status})"))
-            if isinstance(sums, BaseException):
-                raise sums
+            _reap(pid, pipe)
+            sums = pickle.loads(reply) if reply else _integrate(profile, c, profile.spans(share))
             first += sums[0]
             second += sums[1]
     finally:
-        for pid, pipe in workers:
+        for pid, pipe, _ in workers:
             os.kill(pid, signal.SIGKILL)
             _reap(pid, pipe)
     return math.fsum(first) + math.fsum(second)
@@ -177,8 +177,8 @@ def integral_abs(profile, c: float) -> float:
 
 def _fork(profile, c: float, share) -> tuple[int, object]:
     """Fork a worker that integrates the spans of ``share`` and writes
-    ``(first, second)``, or the exception it raised, pickled, to the pipe
-    whose reading end is returned with its pid."""
+    ``(first, second)`` pickled, or nothing if it raises, to the pipe whose
+    reading end is returned with its pid."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -189,22 +189,19 @@ def _fork(profile, c: float, share) -> tuple[int, object]:
     if pid == 0:  # the worker: it leaves by os._exit, never by returning
         try:
             os.close(read)
-            try:
-                reply = _integrate(profile, c, profile.spans(share))
-            except BaseException as exc:  # the caller raises it
-                reply = exc
+            sums = _integrate(profile, c, profile.spans(share))
             with open(write, "wb") as pipe:
-                pickle.dump(reply, pipe)
+                pickle.dump(sums, pipe)
         finally:
             os._exit(0)
     os.close(write)
     return pid, open(read, "rb")
 
 
-def _reap(pid: int, pipe) -> int:
-    """Close a worker's pipe and wait for it; its wait status."""
+def _reap(pid: int, pipe) -> None:
+    """Close a worker's pipe and wait for it."""
     pipe.close()
-    return os.waitpid(pid, 0)[1]
+    os.waitpid(pid, 0)
 
 
 def _integrate(profile, c: float, pieces) -> tuple[list[float], list[float]]:
@@ -214,12 +211,12 @@ def _integrate(profile, c: float, pieces) -> tuple[list[float], list[float]]:
     # a span's temporaries, the split pieces' two included, are rows of one
     # array made once per share; a new set on every span churned the top of
     # the heap, which malloc trimmed and faulted in again (see
-    # ``summation._SPAN``).  Rows as wide as the longest cut (32,768 floats,
-    # a 256 KiB stride) made the (2, 10^7) line row slower on one CPU of a
+    # ``summation._SPAN``).  Rows as wide as that row's longest cut (32,768
+    # floats, a 256 KiB stride) made the (2, 10^7) line row slower on one CPU of a
     # 2-CPU Xeon, in two runs of five alternating fresh processes: 139-146
     # ms against 129-134 ms at this width (5 of 5), then 146-187 ms against
     # 136-166 ms (4 of 5); keep this width
-    span_max = min(profile.piece_count, _SPAN + _BLOCK)
+    span_max = min(profile.piece_count, _SPAN_MAX)
     rows = np.empty((6, span_max))
     first, second = [], []
 
@@ -348,8 +345,6 @@ class _LevelProfile(DeltaProfile):
         border = v_min <= hi
         border &= ~below
         self.bracket = (lo, hi)
-        if np.logical_and.reduce(border):  # every piece is active
-            return
         # pieces below the bracket count in full, those above it not at all
         np.copyto(self.widths, 0.0)
         np.subtract(self.a_hi, self.a_lo, out=self.widths, where=below)

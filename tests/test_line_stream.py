@@ -6,6 +6,7 @@ operations that the profile gives it.
 """
 
 import os
+import signal
 import sys
 import threading
 import time
@@ -318,9 +319,10 @@ def test_forked_integrals_keep_their_bits_and_leave_no_child(forks):
 @FORKS
 @pytest.mark.parametrize("k", [1500000, 1950000])
 def test_a_tied_bound_in_a_workers_share_is_raised_by_the_caller(k, forks, monkeypatch):
-    """(2, 4 * 10**6) has 2,000,000 pieces: on two CPUs the worker
-    integrates the spans from piece 983,040 on, in both digit blocks (the
-    wrapped one from piece 1,902,849)."""
+    """(2, 4 * 10**6) has 2,000,000 pieces: on two CPUs the worker's share
+    is the spans from piece 983,040 on, in both digit blocks (the wrapped
+    one from piece 1,902,849).  The worker raises and replies nothing, so
+    the caller raises the error by integrating that share itself."""
     original = _StepPieces.bounds
 
     def tied(self, start, stop, out):
@@ -330,6 +332,21 @@ def test_a_tied_bound_in_a_workers_share_is_raised_by_the_caller(k, forks, monke
     monkeypatch.setattr(_StepPieces, "bounds", tied)
     with pytest.raises(ValueError, match="^piece bounds must be strictly increasing$"):
         compute_metrics(2, 4 * 10 ** 6, ("line",))
+    assert forks and no_child_is_left()
+
+
+@FORKS
+def test_a_share_whose_worker_dies_is_integrated_by_the_caller(forks, monkeypatch):
+    """A worker killed inside its share replies nothing; the caller
+    integrates that share itself, and the row keeps its bits."""
+    caller, integrate = os.getpid(), transport._integrate
+
+    def killed(*args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return integrate(*args)
+    monkeypatch.setattr(transport, "_integrate", killed)
+    assert compute_metrics(3, 1595100, ("line",)).d_line.hex() == "0x1.2d5fe2fd35d5ap-18"
     assert forks and no_child_is_left()
 
 

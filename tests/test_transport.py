@@ -18,7 +18,7 @@ from circletransport import (
     w1_circle,
     w1_line,
 )
-from circletransport import transport
+from circletransport import summation, transport
 from circletransport.logseq import reference_rotation
 from circletransport.oracle import cut_distance, grid_minimize_offset
 from circletransport.transport import (
@@ -38,7 +38,7 @@ LINE_VALUE = 2 - 1 / LN2                  # integral of |2 - 2**t|
 CIRCLE_VALUE = (3 - 2 * SQRT2) / LN2      # integral of |sqrt(2) - 2**t|
 MEDIAN_C = 2 - SQRT2
 
-SPAN = transport._SPAN  # pieces per span of integral_abs
+SPAN = summation._SPAN  # pieces per span of integral_abs
 
 
 def atom_exp_profile():
