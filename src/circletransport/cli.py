@@ -12,8 +12,11 @@ _ORACLE_TOL = 1e-9
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     # a flag left out is absent from the namespace, so SweepConfig's default applies
-    for flag in ("--n-min", "--n-max", "--points-per-decade", "--threads"):
+    for flag in ("--n-min", "--n-max", "--threads"):
         p.add_argument(flag, type=int, default=argparse.SUPPRESS)
+    p.add_argument("--points-per-decade", type=int, default=argparse.SUPPRESS,
+                   help="grid points per period of log_b N: a decade in base 10, an octave "
+                        "in base 2; verify's phase classes are the grid index k mod this")
 
 
 def _sweep_config(args) -> harness.SweepConfig:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import transport
-from .logseq import (LogSequenceSpec, _positive_int, _RowPieces, closed_form_cdf, frac_log,
-                     reference_rotation)
+from .logseq import LogSequenceSpec, _positive_int, _RowPieces, closed_form_cdf, reference_rotation
 from .measures import cdf_wrapped_exponential, delta_profile
 from .transport import _cpus, integral_abs
 
@@ -56,6 +55,13 @@ def line_rate_limit(base: int) -> float:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """Settings of ``sweep`` and ``verify``, whose grid is N = round(base^(k/p)) in [n_min, n_max].
+
+    p = ``points_per_decade`` counts points per period of log_b N: a decade
+    in base 10, an octave in base 2.  ``verify`` fits along the phase
+    classes k mod p.
+    """
+
     base: int = 10
     n_min: int = 100
     n_max: int = 10 ** 6
@@ -102,13 +108,25 @@ class RateFit:
     residual_max: float
 
 
+def _grid(base: int, n_min: int, n_max: int, p: int) -> dict[int, int]:
+    """``{N: k}`` for the grid points N = round(base^(k/p)) in [n_min, n_max], N ascending.
+
+    k counts from 0 (N = 1), so k mod p is N's phase class (class 0 holds
+    the powers of the base) and k // p its period; an N that several k
+    round to keeps the least.
+    """
+    grid: dict[int, int] = {}
+    k = 0
+    while (N := round(base ** (k / p))) <= n_max:
+        if N >= n_min:
+            grid.setdefault(N, k)
+        k += 1
+    return grid
+
+
 def decade_grid(n_min: int, n_max: int, points_per_decade: int) -> list[int]:
-    """Rounded powers 10**(k/points_per_decade) clipped to [n_min, n_max]."""
-    p = points_per_decade
-    lo_k = math.floor(p * math.log10(n_min)) - 1
-    hi_k = math.ceil(p * math.log10(n_max)) + 1
-    grid = {round(10.0 ** (k / p)) for k in range(lo_k, hi_k + 1)}
-    return sorted(N for N in grid if n_min <= N <= n_max)
+    """Rounded powers 10**(k/points_per_decade) clipped to [n_min, n_max]: the base-10 grid."""
+    return list(_grid(10, n_min, n_max, points_per_decade))
 
 
 def compute_metrics(base: int, N: int, metrics: tuple[str, ...] = _METRICS) -> MetricsRow:
@@ -154,7 +172,7 @@ def run_sweep(cfg: SweepConfig) -> list[MetricsRow]:
     written raises ``OSError`` at once, not after the whole grid; a row
     that raises leaves the file empty.
     """
-    grid = decade_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade)
+    grid = _grid(cfg.base, cfg.n_min, cfg.n_max, cfg.points_per_decade)
     if cfg.out is not None:
         open(cfg.out, "w").close()
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -204,38 +222,29 @@ def fit_rate(rows: list[MetricsRow], column: str) -> RateFit:
     return RateFit(intercept=float(intercept), slope=float(slope), residual_max=resid)
 
 
-def _phase_classes(base: int, grid: list[int], points_per_decade: int) -> list[list[int]]:
-    """Group the N of a decade grid whose fractional parts of log_b N (nearly) agree.
+def _classes(grid: dict[int, int], p: int) -> list[list[int]]:
+    """The N of a ``_grid`` by phase class k mod p, class 0 first; no class is empty.
 
     The finite-N correction to the scaled line statistic is a function of
-    that fractional position, so the a + b/ln N model only holds along such
-    classes; mixing positions biases the fitted intercept.  Phases link when
-    they lie closer than 0.05 and than half the grid's base-10 phase step
-    1/points_per_decade, so neighbouring grid points never chain into one
-    class; the classes either side of the wrap at 1 merge.
+    N's phase, the fractional part of log_b N, so the a + b/ln N model only
+    holds along a class; mixing phases biases the fitted intercept.
     """
-    tol = min(0.05, 0.5 / points_per_decade)
-    classes: list[list[tuple[float, int]]] = []
-    for ph, N in sorted((frac_log(base, N), N) for N in grid):
-        if classes and ph - classes[-1][-1][0] < tol:
-            classes[-1].append((ph, N))
-        else:
-            classes.append([(ph, N)])
-    if len(classes) > 1 and classes[0][0][0] + 1.0 - classes[-1][-1][0] < tol:
-        classes[0] = classes.pop() + classes[0]
-    return [sorted(N for _, N in cl) for cl in classes]
+    classes: dict[int, list[int]] = {}
+    for N, k in grid.items():
+        classes.setdefault(k % p, []).append(N)
+    return [classes[j] for j in sorted(classes)]
 
 
-def _decade_medians(rows: list[MetricsRow], value) -> list[tuple[int, float]]:
-    """Medians of ``value(row)`` over closed decade windows [10^k, 10^(k+1)]."""
-    k_lo = math.floor(math.log10(min(r.N for r in rows)))
-    k_hi = math.ceil(math.log10(max(r.N for r in rows)))
-    out = []
-    for k in range(k_lo, k_hi):
-        vals = [value(r) for r in rows if 10 ** k <= r.N <= 10 ** (k + 1)]
-        if len(vals) >= 2:
-            out.append((k, float(np.median(vals))))
-    return out
+def _period_medians(rows: list[MetricsRow], grid: dict[int, int], p: int,
+                    value) -> list[tuple[int, float]]:
+    """Medians of ``value(row)`` over closed period windows m*p <= k <= (m+1)*p.
+
+    k is the row's index in ``grid``, so window m is [b^m, b^(m+1)].
+    """
+    ks = [grid[r.N] for r in rows]
+    windows = ((m, [value(r) for r, k in zip(rows, ks) if m * p <= k <= (m + 1) * p])
+               for m in range(min(ks) // p, -(-max(ks) // p)))
+    return [(m, float(np.median(vals))) for m, vals in windows if len(vals) >= 2]
 
 
 def _non_increasing(vals: list[float]) -> bool:
@@ -263,8 +272,9 @@ def verify(cfg: SweepConfig) -> VerificationReport:
     too small to be meaningful, which is decided from the grid before any
     row runs.
     """
-    grid = decade_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade)
-    classes = _phase_classes(cfg.base, [N for N in grid if N >= 1000], cfg.points_per_decade)
+    p = cfg.points_per_decade
+    grid = _grid(cfg.base, cfg.n_min, cfg.n_max, p)
+    classes = _classes({N: k for N, k in grid.items() if N >= 1000}, p)
     if all(len(cl) < 3 for cl in classes):
         reason = (f"no grid point N >= 1000 in [{cfg.n_min}, {cfg.n_max}]" if not classes else
                   "no constant-phase class has 3 rows "
@@ -299,9 +309,9 @@ def verify(cfg: SweepConfig) -> VerificationReport:
         f"|scaled_line - {limit:.5f}| non-increasing along "
         f"{sum(1 for cl in classes if len(cl) >= 2)} phase classes"
         + ("" if bad_classes == 0 else f"; {bad_classes} classes violate")))
-    med = _decade_medians(gated, lambda r: abs(r.scaled_line - limit))
+    med = _period_medians(gated, grid, p, lambda r: abs(r.scaled_line - limit))
     checks.append(("INFO", "line-rate-decade-medians",
-                   ", ".join(f"10^{k}..10^{k + 1}: {v:.5f}" for k, v in med)))
+                   ", ".join(f"{cfg.base}^{m}..{cfg.base}^{m + 1}: {v:.5f}" for m, v in med)))
 
     # Circle upper bound (sqrt scaling); the constant is specific to base 10.
     big = [r for r in rows if r.N >= 10 ** 4]
@@ -332,7 +342,7 @@ def verify(cfg: SweepConfig) -> VerificationReport:
 
     # Circle distance beats line distance and the gap widens.
     dominated = all(r.d_circle < r.d_line for r in gated)
-    ratio_med = _decade_medians(gated, lambda r: r.d_circle / r.d_line)
+    ratio_med = _period_medians(gated, grid, p, lambda r: r.d_circle / r.d_line)
     ratio_ok = _non_increasing([v for _, v in ratio_med])
     checks.append(("PASS" if dominated and ratio_ok else "FAIL", "circle-beats-line",
                    f"d_circle < d_line on all {len(gated)} rows: {dominated}; decade-median "

@@ -27,9 +27,10 @@ from circletransport import (
 )
 from circletransport.harness import (
     CIRCLE_SQRT_BOUND,
-    _decade_medians,
+    _classes,
+    _grid,
     _non_increasing,
-    _phase_classes,
+    _period_medians,
 )
 from circletransport.oracle import equivalence_trials
 from conftest import SEED, random_cdf, random_step_cdf
@@ -46,9 +47,16 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion} failed: {detail}"
 
 
+GRID = dict(n_min=1000, n_max=10 ** 6, points_per_decade=4)
+
+
+def _grid_of(base: int) -> dict[int, int]:
+    """The sweeps' grid in ``base``: ``{N: k}``."""
+    return _grid(base, GRID["n_min"], GRID["n_max"], GRID["points_per_decade"])
+
+
 def _timed_sweep(base: int):
-    cfg = SweepConfig(base=base, n_min=1000, n_max=10 ** 6, points_per_decade=4,
-                      threads=os.cpu_count() or 1)
+    cfg = SweepConfig(base=base, **GRID, threads=os.cpu_count() or 1)
     start = time.perf_counter()
     rows = run_sweep(cfg)
     return rows, time.perf_counter() - start
@@ -67,8 +75,8 @@ def sweep_b2():
 class TestCriterion1SharpLineRate:
     """Fit scaled_line = a + b/ln N and compare a against 1/(2 ln base).
 
-    The finite-N correction depends on where N sits inside its decade, so
-    the model is fitted along constant-phase subsequences of the sweep; all
+    The finite-N correction depends on where N sits inside its period of
+    log_b N, so the model is fitted along the grid's phase classes; all
     fitted intercepts must land within the tolerance and the deviation must
     shrink with N inside every phase class.
     """
@@ -76,7 +84,8 @@ class TestCriterion1SharpLineRate:
     def check_base(self, rows, elapsed, base):
         limit = line_rate_limit(base)
         by_n = {r.N: r for r in rows}
-        classes = [[by_n[N] for N in cl] for cl in _phase_classes(base, list(by_n), 4)]
+        classes = [[by_n[N] for N in cl]
+                   for cl in _classes(_grid_of(base), GRID["points_per_decade"])]
         fits = [fit_rate(cl, "scaled_line") for cl in classes if len(cl) >= 3]
         assert fits, "no constant-phase subsequence long enough to fit"
         worst = max(abs(f.intercept - limit) for f in fits)
@@ -121,7 +130,8 @@ class TestCriterion4CircleBeatsLine:
         rows, _ = sweep_b10
         gated = [r for r in rows if r.N >= 1000]
         strict = all(r.d_circle < r.d_line for r in gated)
-        medians = [v for _, v in _decade_medians(gated, lambda r: r.d_circle / r.d_line)]
+        medians = [v for _, v in _period_medians(gated, _grid_of(10), GRID["points_per_decade"],
+                                                 lambda r: r.d_circle / r.d_line)]
         shrinking = _non_increasing(medians)
         report("4 circle-beats-line", strict and shrinking,
                f"d_circle < d_line on all {len(gated)} rows: {strict}; decade-median "

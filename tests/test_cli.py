@@ -132,7 +132,7 @@ class TestVerifyChecks:
                                        scaled_line=limit + deviation.get(N, 0.001),
                                        scaled_circle_sqrt=circle_sqrt, scaled_circle_linear=1.0,
                                        wall_time_seconds=0.0)
-                    for N in harness.decade_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade)]
+                    for N in harness._grid(cfg.base, cfg.n_min, cfg.n_max, cfg.points_per_decade)]
 
         monkeypatch.setattr(harness, "run_sweep", sweep)
         return run_cli(capsys, "verify", "--base", str(base), "--n-min", "1000",
@@ -154,8 +154,8 @@ class TestVerifyChecks:
         assert lines[-1] == "verification " + ("FAILED" if code else "PASSED")
 
     def test_other_bases_report_the_base_10_bounds_as_info(self, capsys, monkeypatch):
-        # base 2's one class of three on the decade grid up to 10^6
-        code, out, _ = self.run(capsys, monkeypatch, 2, 10 ** 6, (1000, 31623, 10 ** 6),
+        # base 2's powers 2^10..2^14 form class 0 of its grid up to 2^14
+        code, out, _ = self.run(capsys, monkeypatch, 2, 2 ** 14, (2 ** 10, 2 ** 11, 2 ** 12),
                                 self.SHRINKING, 2.0 * self.BOUND)
         assert code == 0
         lines = out.splitlines()

@@ -19,7 +19,7 @@ from circletransport import (
     write_csv,
 )
 from circletransport import harness, transport
-from circletransport.harness import _decade_medians, _phase_classes
+from circletransport.harness import _classes, _grid, _period_medians
 from conftest import affinity, one_cpu_and_all
 
 LN2 = math.log(2)
@@ -201,6 +201,10 @@ class TestSweep:
         assert [r.N for r in rows] == decade_grid(100, 3000, 2)
         assert os.path.exists(cfg.out)
 
+    def test_rows_of_another_base_are_its_grid(self):
+        rows = run_sweep(SweepConfig(base=2, n_min=1000, n_max=4096, points_per_decade=2))
+        assert [r.N for r in rows] == [1024, 1448, 2048, 2896, 4096]
+
     def test_csv_round_trip_bit_exact(self, tmp_path):
         out = str(tmp_path / "rt.csv")
         rows = run_sweep(SweepConfig(**self.CFG, out=out))
@@ -277,30 +281,35 @@ class TestSweep:
 
 class TestPhaseClasses:
     def test_decimal_grid_has_four_classes(self):
-        classes = _phase_classes(10, decade_grid(1000, 10 ** 5, 4), 4)
-        assert sorted(len(c) for c in classes) == [2, 2, 2, 3]
-        powers = next(c for c in classes if len(c) == 3)
-        assert powers == [1000, 10000, 100000]
+        classes = _classes(_grid(10, 1000, 10 ** 5, 4), 4)
+        assert classes == [[1000, 10000, 100000], [1778, 17783], [3162, 31623], [5623, 56234]]
 
     @pytest.mark.parametrize("points_per_decade", [20, 40])
     def test_neighbouring_grid_points_never_chain(self, points_per_decade):
-        # the phase step 1/points_per_decade is 0.05 or less
-        classes = _phase_classes(10, decade_grid(1000, 10 ** 5, points_per_decade),
-                                 points_per_decade)
+        # one class per residue k mod p, however close the phases of neighbours
+        classes = _classes(_grid(10, 1000, 10 ** 5, points_per_decade), points_per_decade)
         assert len(classes) == points_per_decade
-        assert [1000, 10000, 100000] in classes
+        assert classes[0] == [1000, 10000, 100000]
 
-    def test_classes_either_side_of_the_wrap_at_1_merge(self):
-        # phases 0.9912 (N = 9800, 98000) and 0.0 (N = 1000) lie 0.0088 apart
-        # across 1; 3162 (phase 0.49996) stays apart
-        classes = _phase_classes(10, [1000, 3162, 9800, 98000], 4)
-        assert sorted(classes) == [[1000, 9800, 98000], [3162]]
+    def test_a_base_grid_has_its_powers_in_class_zero(self):
+        grid = _grid(7, 300, 10 ** 5, 4)
+        assert list(grid) == [343, 558, 907, 1476, 2401, 3905, 6352, 10333, 16807, 27338,
+                              44467, 72329]
+        assert list(grid.values()) == list(range(12, 24))
+        assert _classes(grid, 4)[0] == [7 ** 3, 7 ** 4, 7 ** 5]
+
+    def test_an_n_that_several_k_round_to_keeps_the_least(self):
+        # 2^(3/4) = 1.68, 2^(4/4) and 2^(5/4) = 2.38 round to 2; 2^(6/4) and
+        # 2^(7/4) = 3.36 to 3
+        assert _grid(2, 2, 4, 4) == {2: 3, 3: 6, 4: 8}
 
     def test_decade_medians_windows(self):
+        # closed windows of the grid index k: m = 1 holds k = 4..8, m = 2 k = 8..12
+        grid = {N: k for k, N in enumerate(range(100, 1300, 100))}
         rows = [MetricsRow(10, N, 4, 0, 0, 0, float(N), 0, 0, 0)
-                for N in (1000, 2000, 5000, 10000, 20000, 50000)]
-        med = _decade_medians(rows, lambda r: r.scaled_line)
-        assert [k for k, _ in med] == [3, 4]
+                for N in (500, 600, 700, 900, 1000, 1100)]
+        med = _period_medians(rows, grid, 4, lambda r: r.scaled_line)
+        assert med == [(1, 650.0), (2, 1000.0)]  # N = 900 (k = 8) in both
 
 
 class TestVerify:
@@ -311,8 +320,13 @@ class TestVerify:
             assert report.exit_code == 2
             assert any("insufficient range" in line for line in report.lines)
 
-    def test_small_grid_passes(self):
-        report = verify(SweepConfig(base=10, n_min=1000, n_max=10 ** 5,
+    # every base on its own grid; on the decade grid bases 3 and 16 exited 1,
+    # bases 5 and 7 exited 2
+    @pytest.mark.parametrize("base,n_max", [(10, 10 ** 5), (3, 10 ** 6), (5, 10 ** 6),
+                                            (7, 10 ** 6), (16, 10 ** 6)],
+                             ids=["10", "3", "5", "7", "16"])
+    def test_small_grid_passes(self, base, n_max):
+        report = verify(SweepConfig(base=base, n_min=1000, n_max=n_max,
                                     points_per_decade=4, threads=2))
         assert report.exit_code == 0, "\n".join(report.lines)
         names = [name for _, name, _ in report.checks]
@@ -322,12 +336,12 @@ class TestVerify:
         assert statuses["domination"] == "PASS"
 
     def test_narrow_grid_without_phase_class(self, monkeypatch):
-        # no three N of one phase in base 10 up to 9000, nor on base 7's
-        # decade grid up to 10^6: refused before any row runs
+        # no three N of one class in base 10 up to 9000, nor in base 7 up to
+        # 40000 (1.9 periods): refused before any row runs
         calls, real = [], harness.compute_metrics
         monkeypatch.setattr(harness, "compute_metrics",
                             lambda *args: calls.append(args) or real(*args))
-        for base, n_max in [(10, 9000), (7, 10 ** 6)]:
+        for base, n_max in [(10, 9000), (7, 40000)]:
             report = verify(SweepConfig(base=base, n_min=1000, n_max=n_max,
                                         points_per_decade=4))
             assert report.lines == ["FAIL grid: insufficient range: no constant-phase class "
