@@ -16,7 +16,8 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(flag, type=int, default=argparse.SUPPRESS)
     p.add_argument("--points-per-decade", type=int, default=argparse.SUPPRESS,
                    help="grid points per period of log_b N: a decade in base 10, an octave "
-                        "in base 2; verify's phase classes are the grid index k mod this")
+                        "in base 2; verify checks every trend along its phase classes, "
+                        "grid index k mod this")
 
 
 def _sweep_config(args) -> harness.SweepConfig:

@@ -58,8 +58,8 @@ class SweepConfig:
     """Settings of ``sweep`` and ``verify``, whose grid is N = round(base^(k/p)) in [n_min, n_max].
 
     p = ``points_per_decade`` counts points per period of log_b N: a decade
-    in base 10, an octave in base 2.  ``verify`` fits along the phase
-    classes k mod p.
+    in base 10, an octave in base 2.  ``verify`` checks every trend along
+    the phase classes k mod p.
     """
 
     base: int = 10
@@ -235,20 +235,19 @@ def _classes(grid: dict[int, int], p: int) -> list[list[int]]:
     return [classes[j] for j in sorted(classes)]
 
 
-def _period_medians(rows: list[MetricsRow], grid: dict[int, int], p: int,
-                    value) -> list[tuple[int, float]]:
-    """Medians of ``value(row)`` over closed period windows m*p <= k <= (m+1)*p.
-
-    k is the row's index in ``grid``, so window m is [b^m, b^(m+1)].
-    """
-    ks = [grid[r.N] for r in rows]
-    windows = ((m, [value(r) for r, k in zip(rows, ks) if m * p <= k <= (m + 1) * p])
-               for m in range(min(ks) // p, -(-max(ks) // p)))
-    return [(m, float(np.median(vals))) for m, vals in windows if len(vals) >= 2]
-
-
 def _non_increasing(vals: list[float]) -> bool:
     return all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
+
+
+def _falls_along(classes: list[list[MetricsRow]], value, what: str) -> tuple[bool, str]:
+    """Whether ``value(row)`` is non-increasing along every class of two or more rows.
+
+    The second item is the check's detail, naming the value ``what``.
+    """
+    trends = [[value(r) for r in cl] for cl in classes if len(cl) >= 2]
+    rising = sum(not _non_increasing(t) for t in trends)
+    return rising == 0, (f"{what} non-increasing along {len(trends)} phase classes"
+                         + (f"; {rising} classes violate" if rising else ""))
 
 
 @dataclass(frozen=True)
@@ -297,21 +296,9 @@ def verify(cfg: SweepConfig) -> VerificationReport:
     checks.append(("PASS" if worst <= LINE_RATE_TOL else "FAIL", "line-sharp-rate", detail))
 
     # Deviation from the limit shrinks with N along every phase class.
-    bad_classes = 0
-    for cl in classes:
-        if len(cl) >= 2:
-            devs = [abs(r.scaled_line - limit) for r in cl]
-            if not _non_increasing(devs):
-                bad_classes += 1
-    checks.append((
-        "PASS" if bad_classes == 0 else "FAIL",
-        "line-rate-monotone",
-        f"|scaled_line - {limit:.5f}| non-increasing along "
-        f"{sum(1 for cl in classes if len(cl) >= 2)} phase classes"
-        + ("" if bad_classes == 0 else f"; {bad_classes} classes violate")))
-    med = _period_medians(gated, grid, p, lambda r: abs(r.scaled_line - limit))
-    checks.append(("INFO", "line-rate-decade-medians",
-                   ", ".join(f"{cfg.base}^{m}..{cfg.base}^{m + 1}: {v:.5f}" for m, v in med)))
+    ok, detail = _falls_along(classes, lambda r: abs(r.scaled_line - limit),
+                              f"|scaled_line - {limit:.5f}|")
+    checks.append(("PASS" if ok else "FAIL", "line-rate-monotone", detail))
 
     # Circle upper bound (sqrt scaling); the constant is specific to base 10.
     big = [r for r in rows if r.N >= 10 ** 4]
@@ -340,13 +327,11 @@ def verify(cfg: SweepConfig) -> VerificationReport:
         checks.append(("INFO", "linear-floor",
                        f"min N*d_circle = {mn_linear:.6f} (frozen floor applies to base 10 only)"))
 
-    # Circle distance beats line distance and the gap widens.
+    # Circle distance beats line distance, and the gap widens along every phase class.
     dominated = all(r.d_circle < r.d_line for r in gated)
-    ratio_med = _period_medians(gated, grid, p, lambda r: r.d_circle / r.d_line)
-    ratio_ok = _non_increasing([v for _, v in ratio_med])
-    checks.append(("PASS" if dominated and ratio_ok else "FAIL", "circle-beats-line",
-                   f"d_circle < d_line on all {len(gated)} rows: {dominated}; decade-median "
-                   f"ratios {', '.join(f'{v:.4f}' for _, v in ratio_med)} non-increasing: {ratio_ok}"))
+    ok, detail = _falls_along(classes, lambda r: r.d_circle / r.d_line, "d_circle/d_line")
+    checks.append(("PASS" if dominated and ok else "FAIL", "circle-beats-line",
+                   f"d_circle < d_line on all {len(gated)} rows: {dominated}; {detail}"))
 
     # Structural domination.
     structural = all(

@@ -275,25 +275,26 @@ _NARROW_MIN_PIECES = 4096
 _STEPS_MAX = 64
 
 
-class _LevelProfile(DeltaProfile):
-    """A profile with what every level pass reuses, built once per search.
+class _LevelProfile:
+    """A profile's pieces with what every level pass reuses, built once per search.
 
-    It adds the pieces' value ranges ``v_min`` and ``v_max``, the mean of
-    ``delta`` and a full-length buffer of the pieces' widths below the
-    level, and it keeps the *active* pieces: those a level pass evaluates,
-    with two scratch buffers.  At first every piece is active and on the
-    *border*, where a pass masks from the value ranges which pieces count
-    in full, in part or not at all, and measures a partial piece from its
-    *edge* (``lo`` if it rises, ``hi`` if it falls).  ``narrow(lo, hi)``
-    keeps only the pieces whose value range meets ``[lo, hi]``: first the
-    *core*, whose value range straddles all of it, rising pieces before
-    falling ones, then the border, the only pieces whose value ranges and
-    edges it keeps.  For a level in that bracket every other piece lies
-    wholly below it (full width) or wholly above it (nothing), so its entry
-    in the buffer is written once.  ``steps(lo, hi)`` lists where the level
-    can change inside a bracket.  ``level_measure`` takes it like any other
-    profile.  Each ``median_offset`` search builds its own, so no two
-    searches or threads share the buffers.
+    It keeps the profile's ``base``, ``bounds``, ``coef``, ``offset`` and
+    ``piece_count``.  It adds the pieces' value ranges ``v_min`` and
+    ``v_max``, the mean of ``delta`` and a full-length buffer of the pieces'
+    widths below the level, and it keeps the *active* pieces: those a level
+    pass evaluates, with two scratch buffers.  At first every piece is active
+    and on the *border*, where a pass masks from the value ranges which
+    pieces count in full, in part or not at all, and measures a partial
+    piece from its *edge* (``lo`` if it rises, ``hi`` if it
+    falls).  ``narrow(lo, hi)`` keeps only the pieces whose value range meets
+    ``[lo, hi]``: first the *core*, whose value range straddles all of it,
+    rising pieces before falling ones, then the border, the only pieces
+    whose value ranges and edges it keeps.  For a level in that bracket every
+    other piece lies wholly below it (full width) or wholly above it
+    (nothing), so its entry in the buffer is written once.  ``steps(lo, hi)``
+    lists where the level can change inside a bracket.  ``level_measure``
+    takes it in place of the profile.  Each ``median_offset`` search builds
+    its own, so no two searches or threads share the buffers.
 
     The search holds at most five full-length arrays of its own:
     ``v_min``, ``v_max``, the edges and the pass's two buffers.  The piece
@@ -307,10 +308,10 @@ class _LevelProfile(DeltaProfile):
     """
 
     def __init__(self, profile: DeltaProfile):
-        # the fields are the profile's own arrays, already validated and read-only
-        for name in ("base", "bounds", "coef", "offset"):
-            object.__setattr__(self, name, getattr(profile, name))
-        # a subclass of a frozen dataclass may set attributes other than its fields
+        # the profile's own arrays, already validated and read-only
+        self.base, self.bounds = profile.base, profile.bounds
+        self.coef, self.offset = profile.coef, profile.offset
+        self.piece_count = profile.piece_count
         self.log_b = math.log(self.base)
         self.bracket = (-math.inf, math.inf)
         self.index = slice(None)

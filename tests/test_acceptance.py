@@ -30,7 +30,6 @@ from circletransport.harness import (
     _classes,
     _grid,
     _non_increasing,
-    _period_medians,
 )
 from circletransport.oracle import equivalence_trials
 from conftest import SEED, random_cdf, random_step_cdf
@@ -130,12 +129,14 @@ class TestCriterion4CircleBeatsLine:
         rows, _ = sweep_b10
         gated = [r for r in rows if r.N >= 1000]
         strict = all(r.d_circle < r.d_line for r in gated)
-        medians = [v for _, v in _period_medians(gated, _grid_of(10), GRID["points_per_decade"],
-                                                 lambda r: r.d_circle / r.d_line)]
-        shrinking = _non_increasing(medians)
+        by_n = {r.N: r for r in rows}
+        ratios = [[by_n[N].d_circle / by_n[N].d_line for N in cl]
+                  for cl in _classes(_grid_of(10), GRID["points_per_decade"])]
+        shrinking = all(_non_increasing(cl) for cl in ratios)
         report("4 circle-beats-line", strict and shrinking,
-               f"d_circle < d_line on all {len(gated)} rows: {strict}; decade-median "
-               f"ratios {[round(v, 4) for v in medians]} non-increasing: {shrinking}")
+               f"d_circle < d_line on all {len(gated)} rows: {strict}; ratios along the "
+               f"phase classes {[[round(v, 4) for v in cl] for cl in ratios]} "
+               f"non-increasing: {shrinking}")
 
 
 class TestCriterion5OracleEquivalence:

@@ -120,19 +120,22 @@ class TestVerifyChecks:
     # deviations of scaled_line from 1/(2 ln b) along one phase class
     SHRINKING, GROWING = (0.003, 0.002, 0.001), (0.001, 0.003, 0.001)
 
-    def run(self, capsys, monkeypatch, base, n_max, fitted, deviations, circle_sqrt):
+    def run(self, capsys, monkeypatch, base, n_max, fitted, deviations, circle_sqrt,
+            ratio=lambda k: 0.5):
         # a row at every grid point: ``deviations`` along the phase class
-        # ``fitted``, 0.001 on the other rows
+        # ``fitted``, 0.001 on the other rows; d_circle/d_line is ``ratio`` of
+        # the grid index k
         limit = harness.line_rate_limit(base)
         deviation = dict(zip(fitted, deviations))
 
         def sweep(cfg):
+            grid = harness._grid(cfg.base, cfg.n_min, cfg.n_max, cfg.points_per_decade)
             return [harness.MetricsRow(base=base, N=N, n=digit_count(base, N), d_line=2e-3,
-                                       d_circle=1e-3, offset_c=0.0,
+                                       d_circle=2e-3 * ratio(k), offset_c=0.0,
                                        scaled_line=limit + deviation.get(N, 0.001),
                                        scaled_circle_sqrt=circle_sqrt, scaled_circle_linear=1.0,
                                        wall_time_seconds=0.0)
-                    for N in harness._grid(cfg.base, cfg.n_min, cfg.n_max, cfg.points_per_decade)]
+                    for N, k in grid.items()]
 
         monkeypatch.setattr(harness, "run_sweep", sweep)
         return run_cli(capsys, "verify", "--base", str(base), "--n-min", "1000",
@@ -152,6 +155,27 @@ class TestVerifyChecks:
         assert sum(l.startswith(line) for l in lines) == 1
         assert sum(l.startswith("FAIL") for l in lines) == code  # the expected one only
         assert lines[-1] == "verification " + ("FAILED" if code else "PASSED")
+
+    @pytest.mark.parametrize("base,n_max,fitted,ratio,code", [
+        # two levels, each falling along its classes: a median over the
+        # period cut short at k = 26 (N = 1263) reads 0.50, the next 0.89
+        (3, 10 ** 6, (3 ** 7, 3 ** 8, 3 ** 9),
+         lambda k: (0.9, 0.9, 0.5, 0.5)[k % 4] * (1 - 0.002 * (k - 26)), 0),
+        # class 1 (k = 13, 17) rises while the two periods' medians fall,
+        # 0.55 then 0.45
+        (10, 10 ** 5, (1000, 10 ** 4, 10 ** 5),
+         {12: 0.9, 13: 0.30, 14: 0.8, 15: 0.4, 16: 0.55,
+          17: 0.31, 18: 0.45, 19: 0.35, 20: 0.5}.get, 1),
+    ], ids=["every-class-falls", "one-class-rises"])
+    def test_the_ratio_falls_along_every_phase_class(self, capsys, monkeypatch, base, n_max,
+                                                     fitted, ratio, code):
+        got, out, _ = self.run(capsys, monkeypatch, base, n_max, fitted, self.SHRINKING,
+                               0.9 * self.BOUND, ratio)
+        lines = out.splitlines()
+        assert got == code
+        status = "FAIL" if code else "PASS"
+        assert sum(l.startswith(f"{status} circle-beats-line: ") for l in lines) == 1
+        assert sum(l.startswith("FAIL") for l in lines) == code  # the expected one only
 
     def test_other_bases_report_the_base_10_bounds_as_info(self, capsys, monkeypatch):
         # base 2's powers 2^10..2^14 form class 0 of its grid up to 2^14

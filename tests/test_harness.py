@@ -19,7 +19,7 @@ from circletransport import (
     write_csv,
 )
 from circletransport import harness, transport
-from circletransport.harness import _classes, _grid, _period_medians
+from circletransport.harness import _classes, _grid
 from conftest import affinity, one_cpu_and_all
 
 LN2 = math.log(2)
@@ -302,14 +302,6 @@ class TestPhaseClasses:
         # 2^(3/4) = 1.68, 2^(4/4) and 2^(5/4) = 2.38 round to 2; 2^(6/4) and
         # 2^(7/4) = 3.36 to 3
         assert _grid(2, 2, 4, 4) == {2: 3, 3: 6, 4: 8}
-
-    def test_decade_medians_windows(self):
-        # closed windows of the grid index k: m = 1 holds k = 4..8, m = 2 k = 8..12
-        grid = {N: k for k, N in enumerate(range(100, 1300, 100))}
-        rows = [MetricsRow(10, N, 4, 0, 0, 0, float(N), 0, 0, 0)
-                for N in (500, 600, 700, 900, 1000, 1100)]
-        med = _period_medians(rows, grid, 4, lambda r: r.scaled_line)
-        assert med == [(1, 650.0), (2, 1000.0)]  # N = 900 (k = 8) in both
 
 
 class TestVerify:
