@@ -22,22 +22,29 @@ where the level can change and ends by bisecting over that list.  While the
 list would be long (a wide bracket, or an offset d so near the bracket that
 its rounding grid is too fine) the Newton steps and rank bisection go on.
 
-Once a search has probed both sides of 1/2, only the pieces whose value
-range meets its bracket can change how they count, so the search narrows
-its private profile to them (about half the pieces of a metrics row).
-Every other piece lies wholly below the bracket or wholly above it, and its
-width below the level (full or none) is written once into a full-length
-buffer.  The narrowed pieces come in two runs.  First the *core*, whose
-value range straddles every level of the bracket (``v_min < lo`` and
-``v_max > hi``), rising pieces before falling ones: a pass measures them
-from ``lo`` and from ``hi`` with no masks, and keeps no value ranges or
-edges for them.  Then the *border*, the rest, which a pass masks as it
-masks every piece before narrowing; it is empty on each of the 20
-benchmark reference rows that narrow.  Each later pass scatters the
+A pass works in one scratch buffer over the active pieces: it sums the
+slope's ``1 / |c - d|`` there first, then computes the widths below c in
+it.  A partial piece is measured from its *edge*, the left end of a rising
+piece and the right end of a falling one; the edges are a view of the
+bounds unless the pieces' signs are mixed, and every piece of a metrics
+row falls.  Once a search has probed both sides of 1/2, only the pieces
+whose value range meets its bracket can change how they count, so the
+search narrows its private profile to them (about half the pieces of a
+metrics row).  Every other piece lies wholly below the bracket or wholly
+above it, and its width below the level (full or none) is written once
+into a full-length buffer.  The narrowed pieces come in two runs.  First
+the *core*, whose value range straddles every level of the bracket
+(``v_min < lo`` and ``v_max > hi``), rising pieces before falling ones: a
+pass measures them from ``lo`` and from ``hi`` with no masks, and keeps no
+value ranges or edges for them.  Then the *border*, the rest, which a pass
+masks as it masks every piece before narrowing; it is empty on each of
+the 20 benchmark reference rows that narrow.  Each later pass scatters the
 narrowed widths into the buffer and sums all of it in the same order, so
 ``L(c)`` keeps its bits.  The slope is summed over the core and then over
 the border, and may change in its last bits; the result does not depend on
-them, as the next paragraph says.
+them, as the next paragraph says.  The list of steps needs the offsets d
+nearest the bracket; one scan of the active pieces per narrowing finds
+them for every later bracket, as long as no d lies inside the first.
 
 The search assumes that the computed ``L`` is non-decreasing in c.  Then
 the least float where it reaches 1/2 is one float, found whichever probes
@@ -282,7 +289,7 @@ class _LevelProfile:
     ``piece_count``.  It adds the pieces' value ranges ``v_min`` and
     ``v_max``, the mean of ``delta`` and a full-length buffer of the pieces'
     widths below the level, and it keeps the *active* pieces: those a level
-    pass evaluates, with two scratch buffers.  At first every piece is active
+    pass evaluates, with one scratch buffer.  At first every piece is active
     and on the *border*, where a pass masks from the value ranges which
     pieces count in full, in part or not at all, and measures a partial
     piece from its *edge* (``lo`` if it rises, ``hi`` if it
@@ -296,15 +303,20 @@ class _LevelProfile:
     takes it in place of the profile.  Each ``median_offset`` search builds
     its own, so no two searches or threads share the buffers.
 
-    The search holds at most five full-length arrays of its own:
-    ``v_min``, ``v_max``, the edges and the pass's two buffers.  The piece
-    values are built by ``_piece_values``: ``v_min`` is written over the
-    start values, and the end values' memory takes the widths of the mean
-    and then serves as the width buffer, which a pass with every piece
-    active writes in place.  A full piece gets its width ``hi - lo`` from a
-    masked subtraction, so no array of widths is kept.  ``narrow`` frees the
-    full-length arrays before it makes the narrowed ones, so the allocator
-    can hand their memory on.
+    Before narrowing, the search holds three full-length float arrays of
+    its own, built from ``_piece_values``: ``v_min`` over the start values,
+    the pieces' rises (which the mean sums) and then ``v_max`` in a third
+    array, and the width buffer over the end values.  With every piece
+    active the width buffer is also the pass's scratch, and a pass makes
+    three masks and frees them before it sums the widths.  The edges are a
+    view of the bounds, ``bounds[1:]`` when no piece rises and
+    ``bounds[:-1]`` when every piece rises; only mixed signs make an array
+    of them.  A full piece gets its width ``hi - lo`` from a masked
+    subtraction, so no array of widths is kept.  ``narrow`` frees the
+    full-length arrays before it makes the narrowed ones, which serve until
+    the search ends: the index, offsets, coefficients and both bounds of the
+    active pieces, their scratch buffer, and the pass's three masks over the
+    border.
     """
 
     def __init__(self, profile: DeltaProfile):
@@ -314,24 +326,30 @@ class _LevelProfile:
         self.piece_count = profile.piece_count
         self.log_b = math.log(self.base)
         self.bracket = (-math.inf, math.inf)
-        self.index = slice(None)
+        self.index = None  # every piece is active
         self.a_offset, self.a_coef = self.offset, self.coef
         self.a_lo, self.a_hi = self.bounds[:-1], self.bounds[1:]
         v_lo, v_hi = profile._piece_values()
         # the mean of delta, the search's first probe: a*b**t + d integrates
-        # over a piece to (v_hi - v_lo) / ln b + d * (hi - lo); the rises
-        # are the pass's first scratch buffer
-        self.diff = np.subtract(v_hi, v_lo)
-        rises = float(np.add.reduce(self.diff))
-        self.v_max = np.maximum(v_lo, v_hi)
+        # over a piece to (v_hi - v_lo) / ln b + d * (hi - lo)
+        rises = np.subtract(v_hi, v_lo)
+        rise = float(np.add.reduce(rises))
+        self.v_max = np.maximum(v_lo, v_hi, out=rises)
         self.v_min = np.minimum(v_lo, v_hi, out=v_lo)
         width = np.subtract(self.a_hi, self.a_lo, out=v_hi)
-        self.mean = rises / self.log_b + float(np.dot(self.offset, width))
-        self.edge = np.where(self.a_coef > 0.0, self.a_lo, self.a_hi)
+        self.mean = rise / self.log_b + float(np.dot(self.offset, width))
+        if not np.maximum.reduce(self.coef) > 0.0:  # every metrics row: coef = -G.coef
+            self.edge = self.a_hi
+        elif np.minimum.reduce(self.coef) > 0.0:
+            self.edge = self.a_lo
+        else:
+            self.edge = np.where(self.coef > 0.0, self.a_lo, self.a_hi)
         # with every piece active the pass writes the width buffer in place
         self.widths = self.w = width
         self.core = None
-        self.border = (self.w, self.edge, self.a_lo, self.a_hi, self.diff)
+        self.border = (self.w, self.edge, self.a_lo, self.a_hi)
+        self.masks = (None, None, None)  # a pass makes its own until narrowed
+        self.scan = None
 
     def narrow(self, lo: float, hi: float) -> None:
         """Evaluate only the pieces whose value range meets ``[lo, hi]``,
@@ -355,7 +373,7 @@ class _LevelProfile:
         border &= ~core
         border = border.nonzero()[0]
         self.v_min, self.v_max, self.edge = v_min[border], v_max[border], self.edge[border]
-        del v_min, v_max, self.diff, self.border
+        del v_min, v_max, self.border
         # a rising core piece is measured from lo, a falling one from hi
         rising = (core & (self.coef > 0.0)).nonzero()[0]
         core &= self.coef < 0.0
@@ -365,11 +383,39 @@ class _LevelProfile:
         del core, rising, falling, border
         self.a_offset, self.a_coef = self.offset[index], self.coef[index]
         self.a_lo, self.a_hi = self.bounds[:-1][index], self.bounds[1:][index]
-        self.diff, self.w = np.empty(index.size), np.empty(index.size)
-        self.index = index
-        w, diff = self.w, self.diff
-        self.core = (w[:r], self.a_lo[:r], w[r:k], self.a_hi[r:k], diff[:k])
-        self.border = (w[k:], self.edge, self.a_lo[k:], self.a_hi[k:], diff[k:])
+        self.index, self.w = index, np.empty(index.size)
+        w = self.w
+        self.core = (w[:k], w[:r], self.a_lo[:r], w[r:k], self.a_hi[r:k])
+        self.border = (w[k:], self.edge, self.a_lo[k:], self.a_hi[k:])
+        self.masks = tuple(np.empty(self.v_min.size, bool) for _ in range(3))
+        self.scan = None
+
+    def _offsets(self, lo: float, hi: float) -> tuple[float, float, float]:
+        """``(below, above, least)`` over the active exponential pieces: the
+        greatest offset d at or below ``hi`` and the least at or above
+        ``lo`` (-inf and inf if there are none), and the least ``|d|``.
+
+        When no d lies in ``[lo, hi]``, ``below < lo`` and ``above > hi``
+        are the nearest d on either side of every bracket inside it, so one
+        scan per narrowing answers all of a search's later brackets.
+        """
+        scan = self.scan
+        if scan is not None and scan[0] <= lo and hi <= scan[1]:
+            return scan[2:]
+        # the pass's scratch buffer holds nothing between passes; it takes
+        # the offsets, NaN on constant pieces, where no comparison holds
+        d, s = self.a_offset, self.w
+        curved = np.not_equal(self.a_coef, 0.0)
+        np.copyto(s, math.nan)
+        np.copyto(s, d, where=curved)
+        below = float(np.maximum.reduce(s, where=np.less_equal(s, hi, out=curved),
+                                        initial=-math.inf))
+        above = float(np.minimum.reduce(s, where=np.greater_equal(s, lo, out=curved),
+                                        initial=math.inf))
+        least = float(np.fmin.reduce(np.abs(s, out=s), initial=math.inf))
+        # a d inside the bracket may lie outside a narrower one
+        self.scan = (lo, hi, below, above, least) if below < lo else None
+        return below, above, least
 
     def steps(self, lo: float, hi: float) -> tuple[list[float] | None, float]:
         """The floats in ``(lo, hi]`` at which the computed level can change.
@@ -388,25 +434,24 @@ class _LevelProfile:
         each of their ``d`` and no float of the bracket is finer, every
         ``d + tie`` is a float multiple of ``h``.  So the level is constant
         from one to the next of: the multiples of ``h``, the ``v_min`` and
-        ``v_max``, the float after each of these, and ``hi``.
+        ``v_max``, the float after each of these, and ``hi``.  The least
+        ``|c - d|`` and ``|d|`` come from ``_offsets``, which scans the
+        active pieces once per narrowing.
         """
-        d, curved = self.a_offset, self.a_coef != 0.0
-        # the pass's scratch buffers hold nothing between passes
-        dist, scratch = self.diff, self.w
-        # the least |c - d| over the bracket: its distance to d, <= 0 when d lies in it
-        np.maximum(np.subtract(lo, d, out=dist), np.subtract(d, hi, out=scratch), out=dist)
-        gap = np.minimum.reduce(dist, where=curved, initial=math.inf)
+        below, above, least = self._offsets(lo, hi)
+        # the least |c - d| over the bracket, <= 0 when a d lies in it:
+        # rounding is monotone, so it is the distance to the nearest d
+        gap = min(lo - below, above - hi)
         points = []
         if gap < math.inf:
             # the ulp below the least |c - d|: ties at a binade's edge are that fine
-            h = math.ulp(math.nextafter(float(gap), 0.0)) / 2.0
+            h = math.ulp(math.nextafter(gap, 0.0)) / 2.0
             if not gap > 0.0 or h < math.ulp(max(abs(lo), abs(hi))):
                 return None, (hi - lo) / 4.0
             # with the float after each, the multiples alone must fit in the list
             if 2 * (math.floor(hi / h) - math.ceil(lo / h) + 1) > _STEPS_MAX:
                 return None, _STEPS_MAX / 2 * h  # h only grows as the bracket narrows
-            if np.minimum.reduce(np.abs(d, out=scratch), where=curved,
-                                 initial=math.inf) < 2.0 ** 52 * h:
+            if least < 2.0 ** 52 * h:
                 return None, (hi - lo) / 4.0
             points.append(np.arange(math.ceil(lo / h), math.floor(hi / h) + 1) * h)
         for v in (self.v_min, self.v_max):
@@ -444,37 +489,42 @@ def level_measure(profile: DeltaProfile, c: float) -> tuple[float, float]:
     if not lo <= c <= hi:
         raise ValueError(f"level {c!r} lies outside the bracket [{lo!r}, {hi!r}] "
                          f"this profile was narrowed to")
-    diff = np.subtract(c, p.a_offset, out=p.diff)
-    w = p.w
+    w = np.subtract(c, p.a_offset, out=p.w)
+    w_border, edge, lo_border, hi_border = p.border
+    # a border piece that reaches c nowhere counts nothing, one that lies
+    # wholly at or below c (a constant piece at c too) counts in full, and
+    # the rest straddle c
+    none, full, straddle = p.masks
+    none = np.greater_equal(p.v_min, c, out=none)
+    full = np.less_equal(p.v_max, c, out=full)
+    straddle = np.logical_or(none, full, out=straddle)
+    np.logical_not(straddle, out=straddle)
     # off the straddling pieces these may be nan or inf; the border's are
-    # masked below, and the core has none
+    # masked, and the core has none
     with np.errstate(all="ignore"):
-        np.divide(diff, p.a_coef, out=w)
+        # the buffer holds the slope's 1 / |c - d| first, then the widths
+        np.divide(1.0, np.abs(w, out=w), out=w)
+        core_slope = 0.0 if p.core is None else np.add.reduce(p.core[0])
+        slope = core_slope + np.add.reduce(w_border, where=straddle)
+        np.subtract(c, p.a_offset, out=w)
+        w /= p.a_coef
         np.log(w, out=w)
         w /= p.log_b
         # clipped into the piece: np.clip's values up to the sign of a zero,
         # and the log makes no -0.0
         np.minimum(np.maximum(w, p.a_lo, out=w), p.a_hi, out=w)
-        np.divide(1.0, np.abs(diff, out=diff), out=diff)
     # measure below c: root - lo on rising pieces, hi - root on falling ones
-    w_border, edge, lo_border, hi_border, diff_border = p.border
     np.abs(np.subtract(w_border, edge, out=w_border), out=w_border)
-    core_slope = 0.0
     if p.core is not None:
-        w_rise, lo_rise, w_fall, hi_fall, core_diff = p.core
+        _, w_rise, lo_rise, w_fall, hi_fall = p.core
         w_rise -= lo_rise
         np.subtract(hi_fall, w_fall, out=w_fall)
-        core_slope = np.add.reduce(core_diff)
-    # a border piece that reaches c nowhere counts nothing, one that lies
-    # wholly at or below c (a constant piece at c too) counts in full
-    none = p.v_min >= c
-    full = p.v_max <= c
     np.copyto(w_border, 0.0, where=none)
     np.subtract(hi_border, lo_border, out=w_border, where=full)
-    p.widths[p.index] = w
+    del none, full, straddle  # an unnarrowed pass's own masks go before the sum's lists
+    if p.index is not None:
+        p.widths[p.index] = w
     level = min(1.0, max(0.0, compensated_sum(p.widths)))
-    straddle = np.logical_not(np.logical_or(none, full, out=none), out=none)
-    slope = core_slope + np.add.reduce(diff_border, where=straddle)
     return level, float(slope) / p.log_b
 
 

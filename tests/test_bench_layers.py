@@ -79,6 +79,9 @@ def test_a_point_reports_its_traced_peak_beside_its_rss(bench_layers):
     point = bench_layers.measure_point(10, 2000, "both", 1)
     assert point["peak_rss_mb"] > 0 and point["traced_peak_mb"] > 0
     assert point["traced_peak_layer"] in [*point["layers_s"], "compute_metrics"]
-    merged = bench_layers.merge([point, dict(point, traced_peak_mb=1.0)])
+    # and the minor page faults of a timed row, a count
+    assert point["row_minor_faults"] >= 0 and float(point["row_minor_faults"]).is_integer()
+    merged = bench_layers.merge([point, dict(point, traced_peak_mb=1.0, row_minor_faults=7)])
     assert merged["traced_peak_layer"] == point["traced_peak_layer"]
     assert merged["traced_peak_mb"] == (point["traced_peak_mb"] + 1.0) / 2
+    assert merged["row_minor_faults"] == (point["row_minor_faults"] + 7) / 2

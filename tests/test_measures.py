@@ -497,14 +497,17 @@ def test_profile_build_peaks_below_the_offset_search(base):
     assert build_peak < search_peak
 
 
-# The offset search's own memory, per piece of the profile, by its design:
-# five float64 arrays (v_min, v_max, the edges and the pass's two buffers)
-# and at most three bool masks at once, 43 bytes a piece.  Once narrowed it
-# holds the width buffer (8 bytes a piece) and, per active piece, the index,
-# offsets, coefficients, both bounds, the two buffers and one bool mask of
-# `steps` (57 bytes), plus v_min, v_max and the edge of each border piece.
-SEARCH_BYTES_PER_PIECE = 5 * 8 + 3
-NARROWED_BYTES_PER_PIECE, NARROWED_BYTES_PER_ACTIVE, BORDER_BYTES = 8, 7 * 8 + 1, 3 * 8
+# The offset search's own memory, per piece of the profile, by its design,
+# for a profile none of whose pieces rises (every metrics row's): three
+# float64 arrays (v_min, v_max and the width buffer, which is also the
+# pass's scratch; the edges are a view of the bounds) and at most three bool
+# masks at once, 27 bytes a piece.  Once narrowed it holds the width buffer
+# (8 bytes a piece) and, per active piece, the index, offsets,
+# coefficients, both bounds, the scratch and the one bool mask of the scan
+# of `steps` (49 bytes), plus, per border piece, v_min, v_max, the edge,
+# the pass's three masks and the three masks of `steps`.
+SEARCH_BYTES_PER_PIECE = 3 * 8 + 3
+NARROWED_BYTES_PER_PIECE, NARROWED_BYTES_PER_ACTIVE, BORDER_BYTES = 8, 6 * 8 + 1, 3 * 8 + 6
 SEARCH_SLACK_BYTES = 2 ** 16  # Python objects and short lists
 
 
@@ -523,6 +526,7 @@ def test_offset_search_holds_its_designed_working_set(base, N, monkeypatch):
         narrowed.append((self.a_coef.size, self.v_min.size))
 
     monkeypatch.setattr(transport._LevelProfile, "narrow", recorded)
+    assert np.maximum.reduce(profile.coef) < 0.0  # no piece rises
     _, _, peak = _traced(median_offset, profile)
     (active, border), = narrowed
     P = profile.piece_count

@@ -327,6 +327,26 @@ def test_search_value_ranges_are_the_piece_values(base, N):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("base,N", [(10, 1000), (7, 1500), (2, 2 * 10 ** 4), (10, 2 * 10 ** 4)])
+def test_search_edges_of_a_metrics_row_are_its_bounds(base, N):
+    """No piece of a metrics row rises (its coef is -G.coef), so every
+    partial piece is measured from its right end and the search keeps no
+    array of edges."""
+    prof = nu_profile(base, N)
+    assert np.shares_memory(_LevelProfile(prof).edge, prof.bounds)
+
+
+def test_search_edges_are_where_each_piece_is_measured_from(rng):
+    """A partial piece is measured from its left end if it rises and from its
+    right end otherwise, on profiles with every sign mix."""
+    profiles = [delta_profile(random_cdf(rng), random_cdf(rng)) for _ in range(30)]
+    rising = delta_profile(cdf_wrapped_exponential(10, 0.3), closed_form_cdf(10, 1000))
+    for prof in [*profiles, rising, nu_profile(10, 1000)]:
+        want = np.where(prof.coef > 0.0, prof.bounds[:-1], prof.bounds[1:])
+        assert np.array_equal(_LevelProfile(prof).edge, want)
+    assert np.shares_memory(_LevelProfile(rising).edge, rising.bounds)
+
+
 class TestNarrowedLevel:
     """A narrowed search profile answers with the bits of a full pass."""
 
@@ -489,6 +509,33 @@ class TestStaircaseFinish:
         prof = near_offsets_profile(rng)
         assert median_offset(prof).hex() == bisected_median(prof).hex()
         assert listed and all(points is None for points, _ in listed)
+
+    def test_steps_answer_as_a_fresh_scan(self, rng, monkeypatch):
+        """``steps`` scans the active offsets once per narrowing and answers
+        every later, narrower bracket from that scan: each answer of a search
+        is that of a fresh profile with the same active pieces, narrowed to
+        the search's bracket or, below ``_NARROW_MIN_PIECES``, not at all."""
+        calls = []
+        steps = _LevelProfile.steps
+
+        def recorded(self, lo, hi):
+            answer = steps(self, lo, hi)
+            calls.append((self.index is not None and self.bracket, lo, hi, answer))
+            return answer
+
+        monkeypatch.setattr(_LevelProfile, "steps", recorded)
+        profiles = [nu_profile(base, N) for base, N in NARROW_ROWS]
+        profiles += [delta_profile(random_cdf(rng), random_cdf(rng)) for _ in range(20)]
+        asked_again = narrowed_searches = 0
+        for prof in profiles:
+            calls.clear()
+            median_offset(prof)
+            asked_again += len(calls) > 1
+            for bracket, lo, hi, answer in calls:
+                fresh = narrowed(prof, *bracket) if bracket else _LevelProfile(prof)
+                narrowed_searches += bool(bracket)
+                assert steps(fresh, lo, hi) == answer, (lo, hi)
+        assert asked_again and narrowed_searches  # later brackets were answered from a scan
 
     @pytest.mark.parametrize("base", [10, 2])
     def test_rows_take_few_passes(self, base, monkeypatch):

@@ -13,7 +13,9 @@ such as 1e7 that is integral and below 2**53.  A process first computes one
 row with ``compute_metrics`` and reads its peak RSS (``ru_maxrss``), so
 ``peak_rss_mb`` is that of one row plus the imports.  Then it computes
 ``--repeats`` rows with the names a row looks up wrapped, and times each
-call, and as many rows unwrapped, which give ``row_s``.  A row's
+call, and as many rows unwrapped, which give ``row_s`` and
+``row_minor_faults``, the minor page faults (``ru_minflt``) this process
+takes in one of them, not counting forked workers.  A row's
 first ``integral_abs`` is its line integral and its last is its circle
 integral.  Last it computes one more row under ``tracemalloc``:
 ``traced_peak_mb`` is that row's peak of live bytes (MiB, as
@@ -21,10 +23,10 @@ integral.  Last it computes one more row under ``tracemalloc``:
 ``compute_metrics`` between layers.  ``ru_maxrss`` also counts memory the
 allocator holds freed, and glibc's moving mmap threshold shifts it by
 several MB with no change in live bytes, so memory claims rest on the
-traced peak.  Every time is the median of the repeats, in seconds; over
-several processes, the median of their medians, ``peak_rss_mb`` and
-``traced_peak_mb`` the medians of their peaks, and ``traced_peak_layer``
-the layer most of them name.
+traced peak.  Every time and fault count is the median of the repeats,
+times in seconds; over several processes, the median of their medians,
+``peak_rss_mb`` and ``traced_peak_mb`` the medians of their peaks, and
+``traced_peak_layer`` the layer most of them name.
 
 ``--cpus one`` pins each process to one of its CPUs before the first row;
 ``--cpus all`` (the default) leaves it on all of them.  Only an integral
@@ -76,6 +78,7 @@ def measure_point(base: int, N: int, metrics: str, repeats: int) -> dict:
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     times: dict[str, list[float]] = {}
+    faults = []
 
     def timed(label, fn, args):
         start = time.perf_counter()
@@ -85,15 +88,18 @@ def measure_point(base: int, N: int, metrics: str, repeats: int) -> dict:
 
     for _ in range(repeats):
         pieces = wrapped_row(base, N, which, timed)[0].piece_count
+        minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         harness.compute_metrics(base, N, which)
         times.setdefault("row", []).append(time.perf_counter() - start)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
     traced_peak, traced_layer = traced_peak_of_row(base, N, which)
     return {"base": base, "N": N, "metrics": list(which), "pieces": pieces,
             "peak_rss_mb": round(peak_rss_mb, 1),
             "traced_peak_mb": round(traced_peak / 2 ** 20, 1),
             "traced_peak_layer": traced_layer,
             "row_s": statistics.median(times.pop("row")),
+            "row_minor_faults": statistics.median(faults),
             "layers_s": {name: statistics.median(v) for name, v in times.items()}}
 
 
@@ -173,6 +179,7 @@ def merge(runs: list[dict]) -> dict:
     point["traced_peak_mb"] = median(lambda run: run["traced_peak_mb"])
     point["traced_peak_layer"] = statistics.mode(run["traced_peak_layer"] for run in runs)
     point["row_s"] = median(lambda run: run["row_s"])
+    point["row_minor_faults"] = median(lambda run: run["row_minor_faults"])
     point["layers_s"] = {name: median(lambda run: run["layers_s"][name])
                          for name in runs[0]["layers_s"]}
     return point
@@ -268,7 +275,8 @@ def main(argv=None) -> int:
     if args.out:
         data = {"about": "tools/bench_layers.py: per point, peak_rss_mb of one row in a "
                          "fresh process, the traced peak of one row and the layer that "
-                         "set it, and medians in seconds of the layers and of a row",
+                         "set it, and medians in seconds of the layers and of a row "
+                         "and of a row's minor page faults",
                 "columns": {}}
         if os.path.exists(args.out):
             with open(args.out) as f:
