@@ -1,7 +1,8 @@
-"""Shared fixtures: seeded random measures for the property suites, and
-the CPU sets a row is run on."""
+"""Shared fixtures: seeded random measures for the property suites, the
+CPU sets a row is run on, and the summation block rule written out again."""
 
 import contextlib
+import math
 import os
 
 import numpy as np
@@ -35,6 +36,16 @@ def random_cdf(rng, base=10):
     if rng.random() < 0.5:
         return random_step_cdf(rng, base)
     return random_wrapped_cdf(rng, base)
+
+
+def one_pass_sum(values):
+    """The block rule of ``summation`` applied to a whole array in one call,
+    written out with ``math.fsum`` over lists for short arrays and tails."""
+    if values.size <= 4096:
+        return math.fsum(values.tolist())
+    nfull = values.size // 4096 * 4096
+    parts = values[:nfull].reshape(-1, 4096).sum(axis=1).tolist()
+    return math.fsum(parts + [math.fsum(values[nfull:].tolist())])
 
 
 def one_cpu_and_all():

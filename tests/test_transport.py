@@ -27,7 +27,7 @@ from circletransport.transport import (
     level_measure,
     median_offset,
 )
-from conftest import affinity, one_cpu_and_all, random_cdf, random_step_cdf
+from conftest import affinity, one_cpu_and_all, one_pass_sum, random_cdf, random_step_cdf
 
 LN2 = math.log(2)
 SQRT2 = math.sqrt(2)
@@ -90,15 +90,6 @@ class TestIntegralAbs:
             v = piece_values(prof)
             for c in (0.0, median_offset(prof), *rng.uniform(v.min(), v.max(), 5).tolist()):
                 assert integral_abs(prof, c).hex() == one_pass_integral_abs(prof, c).hex(), c
-
-
-def one_pass_sum(values):
-    """The block rule of ``summation`` applied to a whole array in one call."""
-    if values.size <= 4096:
-        return math.fsum(values.tolist())
-    nfull = values.size // 4096 * 4096
-    parts = values[:nfull].reshape(-1, 4096).sum(axis=1).tolist()
-    return math.fsum(parts + [math.fsum(values[nfull:].tolist())])
 
 
 def one_pass_integral_abs(prof, c):
